@@ -10,8 +10,8 @@
 //! (written by the `experiments` binary).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use simjoin::{Balancing, BatchingConfig, SelfJoinConfig};
-use sj_bench::harness::run_join_dyn_sharded;
+use simjoin::{Balancing, BatchingConfig, ExecTarget, SelfJoinConfig};
+use sj_bench::harness::run_join_dyn_on;
 use sj_bench::run_join_dyn;
 use sjdata::DatasetSpec;
 
@@ -53,12 +53,13 @@ fn bench_fleet(c: &mut Criterion) {
     for jobs in HOST_JOBS {
         group.bench_with_input(BenchmarkId::new("devices_4", jobs), &pts, |b, pts| {
             b.iter(|| {
-                run_join_dyn_sharded(
-                    pts,
-                    config(eps, jobs),
-                    4,
-                    simjoin::ShardStrategy::WorkloadAware,
-                )
+                let config = config(eps, jobs);
+                let fleet = warpsim::DeviceFleet::homogeneous(4, config.gpu);
+                let target = ExecTarget::Fleet {
+                    fleet: &fleet,
+                    strategy: simjoin::ShardStrategy::WorkloadAware,
+                };
+                run_join_dyn_on(pts, config, &target, None, &sj_telemetry::NULL)
             })
         });
     }

@@ -23,19 +23,16 @@ use std::sync::Arc;
 
 use epsgrid::DynPoints;
 use simjoin::{
-    AccessPattern, Balancing, BatchingConfig, ExecMode, HybridPolicy, RecoveryPolicy, Reply,
-    Request, SelfJoinConfig, ServeConfig, ServeSession, ShardStrategy, SortBackend,
+    AccessPattern, Balancing, BatchingConfig, ExecMode, ExecTarget, Execution, HybridPolicy,
+    RecoveryPolicy, Reply, Request, SelfJoinConfig, ServeConfig, ServeSession, ShardStrategy,
+    SortBackend,
 };
 use sj_telemetry::{Event, JsonTelemetry, Telemetry};
 use sjdata::DatasetSpec;
-use warpsim::{CostModel, FaultSchedule, IssueOrder, StepMode};
+use warpsim::{CostModel, DeviceFleet, FaultSchedule, IssueOrder, StepMode};
 
 use crate::cpu_model::CpuModel;
-use crate::harness::{
-    run_join_dyn, run_join_dyn_chaos, run_join_dyn_hybrid, run_join_dyn_sharded,
-    run_join_dyn_sharded_chaos, run_join_dyn_sharded_with, run_join_dyn_with, run_superego_dyn,
-    run_superego_dyn_with, CpuRunResult, GpuRunResult,
-};
+use crate::harness::{run_join_dyn_on, run_superego_dyn_with, CpuRunResult, GpuRunResult};
 use crate::table::{fmt_pct, fmt_speedup, fmt_time, Table};
 
 /// Scale knobs for the experiment suite.
@@ -131,94 +128,66 @@ struct CellRunner {
 }
 
 impl CellRunner {
+    fn telemetry(&self) -> &dyn Telemetry {
+        match self.sink.as_ref() {
+            Some(sink) => sink.as_ref(),
+            None => &sj_telemetry::NULL,
+        }
+    }
+
+    /// Runs one GPU cell on the driver's target: a fleet when `devices > 1`,
+    /// else the single-device target of the exec mode.
     fn run(&self, pts: &DynPoints, config: SelfJoinConfig) -> GpuRunResult {
         if self.devices > 1 {
-            return self.run_sharded(pts, config, self.devices, simjoin::ShardStrategy::default());
+            return self
+                .run_sharded(pts, config, self.devices, ShardStrategy::default())
+                .0;
         }
-        if self.exec_mode != ExecMode::Gpu {
-            let policy = match self.exec_mode {
-                ExecMode::Cpu => HybridPolicy::cpu_only(),
-                _ => HybridPolicy::default(),
-            };
-            let telemetry: &dyn Telemetry = match self.sink.as_ref() {
-                Some(sink) => sink.as_ref(),
-                None => &sj_telemetry::NULL,
-            };
-            let (r, _) = run_join_dyn_hybrid(
-                pts,
-                config.with_exec_mode(self.exec_mode),
-                &policy,
-                telemetry,
-            );
-            if let Some(sink) = self.sink.as_ref() {
-                record_gpu_run(sink.as_ref(), &r);
-            }
-            return r;
-        }
-        let Some(sink) = self.sink.as_ref() else {
-            return run_join_dyn(pts, config);
-        };
-        let r = run_join_dyn_with(pts, config, sink.as_ref());
-        record_gpu_run(sink.as_ref(), &r);
-        r
+        self.run_on(pts, config, &ExecTarget::for_mode(self.exec_mode))
+            .0
     }
 
     /// Runs one cell sharded across `devices` simulated devices, returning
     /// the canonical merged result (bit-identical to [`Self::run`]) plus the
-    /// per-shard fleet report.
+    /// per-shard fleet report. The failover soak knob kills the chosen
+    /// device on its first launch; reshard recovery must absorb it without
+    /// changing the canonical merged report.
     fn run_sharded(
         &self,
         pts: &DynPoints,
         config: SelfJoinConfig,
         devices: usize,
-        strategy: simjoin::ShardStrategy,
-    ) -> GpuRunResult {
-        self.run_sharded_with_fleet(pts, config, devices, strategy)
-            .0
+        strategy: ShardStrategy,
+    ) -> (GpuRunResult, simjoin::FleetReport) {
+        let mut fleet = DeviceFleet::homogeneous(devices, config.gpu);
+        if let Some(lost) = self.lose_device.filter(|&d| devices > 1 && d < devices) {
+            fleet = fleet.with_fault_schedule(lost, FaultSchedule::new().device_lost_at(0));
+        }
+        let target = ExecTarget::Fleet {
+            fleet: &fleet,
+            strategy,
+        };
+        let (r, exec) = self.run_on(pts, config, &target);
+        (r, exec.fleet.expect("a fleet target reports its fleet"))
     }
 
-    fn run_sharded_with_fleet(
+    /// Runs one cell on `target` and records its canonical summary.
+    fn run_on(
         &self,
         pts: &DynPoints,
         config: SelfJoinConfig,
-        devices: usize,
-        strategy: simjoin::ShardStrategy,
-    ) -> (GpuRunResult, simjoin::FleetReport) {
-        // The failover soak knob: kill the chosen device on its first
-        // launch. Reshard recovery must absorb it without changing the
-        // canonical merged report.
-        if let Some(lost) = self.lose_device.filter(|&d| devices > 1 && d < devices) {
-            let faults = vec![(lost, FaultSchedule::new().device_lost_at(0))];
-            let telemetry: &dyn Telemetry = match self.sink.as_ref() {
-                Some(sink) => sink.as_ref(),
-                None => &sj_telemetry::NULL,
-            };
-            let (r, fleet) =
-                run_join_dyn_sharded_chaos(pts, config, devices, strategy, &faults, telemetry)
-                    .expect("a lost device must be recovered, not surfaced");
-            if let Some(sink) = self.sink.as_ref() {
-                record_gpu_run(sink.as_ref(), &r);
-            }
-            return (r, fleet);
+        target: &ExecTarget<'_>,
+    ) -> (GpuRunResult, Execution) {
+        let (r, exec) = run_join_dyn_on(pts, config, target, None, self.telemetry())
+            .expect("join execution must succeed (a lost device is recovered, not surfaced)");
+        if let Some(sink) = self.sink.as_ref() {
+            record_gpu_run(sink.as_ref(), &r);
         }
-        match self.sink.as_ref() {
-            Some(sink) => {
-                let (r, fleet) =
-                    run_join_dyn_sharded_with(pts, config, devices, strategy, sink.as_ref());
-                record_gpu_run(sink.as_ref(), &r);
-                (r, fleet)
-            }
-            None => run_join_dyn_sharded(pts, config, devices, strategy),
-        }
+        (r, exec)
     }
 
     fn sego(&self, pts: &DynPoints, eps: f32) -> CpuRunResult {
-        match self.sink.as_ref() {
-            Some(s) => {
-                run_superego_dyn_with(pts, eps, &self.cpu, &CostModel::default(), s.as_ref())
-            }
-            None => run_superego_dyn(pts, eps, &self.cpu, &CostModel::default()),
-        }
+        run_superego_dyn_with(pts, eps, &self.cpu, &CostModel::default(), self.telemetry())
     }
 }
 
@@ -1074,11 +1043,14 @@ impl Experiments {
         for profile_name in warpsim::FaultProfile::names() {
             let profile = warpsim::FaultProfile::by_name(profile_name).expect("named profile");
             let plane = warpsim::FaultPlane::seeded(0xC4A05, &profile);
-            let sink = self.sink.borrow().clone();
-            let run = match sink {
-                Some(s) => run_join_dyn_chaos(&pts, config.clone(), &plane, s.as_ref()),
-                None => run_join_dyn_chaos(&pts, config.clone(), &plane, &sj_telemetry::NULL),
-            };
+            let run = run_join_dyn_on(
+                &pts,
+                config.clone(),
+                &ExecTarget::Device,
+                Some(&plane),
+                self.runner().telemetry(),
+            )
+            .map(|(r, exec)| (r, exec.report.degradation));
             match run {
                 Err(error) => t.row(vec![
                     profile_name.to_string(),
@@ -1152,8 +1124,7 @@ impl Experiments {
                 if devices == 1 && strategy != ShardStrategy::WorkloadAware {
                     continue;
                 }
-                let (r, fleet) =
-                    runner.run_sharded_with_fleet(&pts, config.clone(), devices, strategy);
+                let (r, fleet) = runner.run_sharded(&pts, config.clone(), devices, strategy);
                 if let Some(sink) = self.sink.borrow().as_ref() {
                     sink.record(
                         Event::new("bench", "scaling_run")
@@ -1305,25 +1276,19 @@ impl Experiments {
             let config = SelfJoinConfig::optimized(eps)
                 .with_batching(batching)
                 .with_recovery(recovery);
-            let faults: Vec<(usize, FaultSchedule)> = if faulted {
-                vec![(LOST_DEVICE, FaultSchedule::new().device_lost_at(0))]
-            } else {
-                Vec::new()
+            let mut fleet = DeviceFleet::homogeneous(DEVICES, config.gpu);
+            if faulted {
+                fleet =
+                    fleet.with_fault_schedule(LOST_DEVICE, FaultSchedule::new().device_lost_at(0));
+            }
+            let target = ExecTarget::Fleet {
+                fleet: &fleet,
+                strategy: ShardStrategy::WorkloadAware,
             };
             let sink = self.sink.borrow().clone();
-            let telemetry: &dyn Telemetry = match sink.as_ref() {
-                Some(s) => s.as_ref(),
-                None => &sj_telemetry::NULL,
-            };
-            let (r, fleet) = run_join_dyn_sharded_chaos(
-                &pts,
-                config,
-                DEVICES,
-                ShardStrategy::WorkloadAware,
-                &faults,
-                telemetry,
-            )
-            .expect("failover run must recover, not surface the loss");
+            let (r, exec) = run_join_dyn_on(&pts, config, &target, None, self.runner().telemetry())
+                .expect("failover run must recover, not surface the loss");
+            let fleet = exec.fleet.expect("a fleet target reports its fleet");
             let cpu_points = fleet.recovery.cpu_last_resort_points
                 + fleet
                     .shards
@@ -1411,14 +1376,9 @@ impl Experiments {
             max_batches: 64,
             ..self.batching
         };
-        let config = SelfJoinConfig::optimized(eps)
-            .with_batching(batching)
-            .with_exec_mode(ExecMode::Hybrid);
+        let config = SelfJoinConfig::optimized(eps).with_batching(batching);
         let sink = self.sink.borrow().clone();
-        let telemetry: &dyn Telemetry = match sink.as_ref() {
-            Some(s) => s.as_ref(),
-            None => &sj_telemetry::NULL,
-        };
+        let runner = self.runner();
         let mut points = Vec::new();
         let sweep: [(&'static str, Option<f64>); 6] = [
             ("gpu-only", Some(0.0)),
@@ -1433,7 +1393,11 @@ impl Experiments {
             if let Some(f) = fraction {
                 policy = policy.with_forced_cpu_fraction(f);
             }
-            let (r, h) = run_join_dyn_hybrid(&pts, config.clone(), &policy, telemetry);
+            let target = ExecTarget::Hybrid(policy);
+            let (r, exec) =
+                run_join_dyn_on(&pts, config.clone(), &target, None, runner.telemetry())
+                    .expect("hybrid join execution must succeed");
+            let h = exec.hybrid.expect("a hybrid target reports its split");
             if let Some(s) = sink.as_ref() {
                 s.record(
                     Event::new("bench", "hybrid_run")

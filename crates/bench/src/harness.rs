@@ -3,9 +3,10 @@
 use std::time::{Duration, Instant};
 
 use epsgrid::DynPoints;
-use simjoin::{SelfJoin, SelfJoinConfig};
+use simjoin::{ExecTarget, Execution, SelfJoin, SelfJoinConfig};
 use sj_telemetry::Telemetry;
 use superego::{super_ego_join_with, SuperEgoConfig};
+use warpsim::FaultPlane;
 
 use crate::cpu_model::CpuModel;
 
@@ -48,201 +49,75 @@ pub struct CpuRunResult {
 fn run_join_fixed<const N: usize>(
     points: &[[f32; N]],
     config: SelfJoinConfig,
+    target: &ExecTarget<'_>,
+    fault: Option<&FaultPlane>,
     telemetry: &dyn Telemetry,
-) -> GpuRunResult {
+) -> Result<(GpuRunResult, Execution), String> {
     let start = Instant::now();
     let label = config.label();
-    let join = SelfJoin::new(points, config)
+    let mut join = SelfJoin::new(points, config)
         .expect("join configuration must be valid")
         .with_telemetry(telemetry);
-    let outcome = join.run().expect("join execution must succeed");
-    let warp_cv = outcome.report.warp_stats().map(|s| s.cv()).unwrap_or(0.0);
-    GpuRunResult {
-        label,
-        response_s: outcome.report.response_time_s(),
-        wee: outcome.report.wee(),
-        pairs: outcome.result.len(),
-        batches: outcome.report.num_batches,
-        distance_calcs: outcome.report.distance_calcs(),
-        warp_cv,
-        sim_wall: start.elapsed(),
+    if let Some(plane) = fault {
+        join = join.with_fault_plane(plane);
     }
+    let exec = join.execute(target).map_err(|e| e.to_string())?;
+    let report = &exec.report;
+    let run = GpuRunResult {
+        label,
+        response_s: report.response_time_s(),
+        wee: report.wee(),
+        pairs: exec.result.len(),
+        batches: report.num_batches,
+        distance_calcs: report.distance_calcs(),
+        warp_cv: report.warp_stats().map(|s| s.cv()).unwrap_or(0.0),
+        sim_wall: start.elapsed(),
+    };
+    Ok((run, exec))
 }
 
-/// Runs a GPU join variant on a dimension-erased dataset (2 ≤ dims ≤ 6).
+/// Runs a GPU join variant on one simulated device (2 ≤ dims ≤ 6).
+///
+/// # Panics
+/// Panics on unsupported dimensionality, invalid configuration, or a
+/// failed join.
+pub fn run_join_dyn(points: &DynPoints, config: SelfJoinConfig) -> GpuRunResult {
+    run_join_dyn_on(
+        points,
+        config,
+        &ExecTarget::Device,
+        None,
+        &sj_telemetry::NULL,
+    )
+    .expect("join execution must succeed")
+    .0
+}
+
+/// Runs a GPU join variant on `target`, with `fault` attached to the join's
+/// own device, recording executor and kernel telemetry to `telemetry`. The
+/// [`GpuRunResult`] is built from the *canonical* report, so its fields are
+/// bit-identical across targets on a clean run; the [`Execution`] carries
+/// the fleet or hybrid accounting. `Err` carries a typed join error's
+/// rendering — an acceptable outcome under injected faults, unlike a wrong
+/// result.
 ///
 /// # Panics
 /// Panics on unsupported dimensionality or invalid configuration.
-pub fn run_join_dyn(points: &DynPoints, config: SelfJoinConfig) -> GpuRunResult {
-    run_join_dyn_with(points, config, &sj_telemetry::NULL)
-}
-
-/// [`run_join_dyn`] recording executor and kernel telemetry to `telemetry`.
-pub fn run_join_dyn_with(
+pub fn run_join_dyn_on(
     points: &DynPoints,
     config: SelfJoinConfig,
+    target: &ExecTarget<'_>,
+    fault: Option<&FaultPlane>,
     telemetry: &dyn Telemetry,
-) -> GpuRunResult {
-    match points.dims() {
-        2 => run_join_fixed(&points.as_fixed::<2>().unwrap(), config, telemetry),
-        3 => run_join_fixed(&points.as_fixed::<3>().unwrap(), config, telemetry),
-        4 => run_join_fixed(&points.as_fixed::<4>().unwrap(), config, telemetry),
-        5 => run_join_fixed(&points.as_fixed::<5>().unwrap(), config, telemetry),
-        6 => run_join_fixed(&points.as_fixed::<6>().unwrap(), config, telemetry),
-        d => panic!("unsupported dimensionality {d}"),
-    }
-}
-
-fn run_join_sharded_fixed<const N: usize>(
-    points: &[[f32; N]],
-    config: SelfJoinConfig,
-    devices: usize,
-    strategy: simjoin::ShardStrategy,
-    telemetry: &dyn Telemetry,
-) -> (GpuRunResult, simjoin::FleetReport) {
-    let start = Instant::now();
-    let label = config.label();
-    let fleet = warpsim::DeviceFleet::homogeneous(devices, config.gpu);
-    let join = SelfJoin::new(points, config)
-        .expect("join configuration must be valid")
-        .with_telemetry(telemetry);
-    let outcome = join
-        .run_on_fleet(&fleet, strategy)
-        .expect("fleet join execution must succeed");
-    let warp_cv = outcome.report.warp_stats().map(|s| s.cv()).unwrap_or(0.0);
-    (
-        GpuRunResult {
-            label,
-            response_s: outcome.report.response_time_s(),
-            wee: outcome.report.wee(),
-            pairs: outcome.result.len(),
-            batches: outcome.report.num_batches,
-            distance_calcs: outcome.report.distance_calcs(),
-            warp_cv,
-            sim_wall: start.elapsed(),
-        },
-        outcome.fleet,
-    )
-}
-
-/// Runs a GPU join sharded across `devices` homogeneous simulated devices.
-/// The [`GpuRunResult`] is built from the *canonical* merged report, so its
-/// fields are bit-identical to [`run_join_dyn`] on the same input; the
-/// [`simjoin::FleetReport`] carries the per-shard view and the fleet
-/// makespan.
-///
-/// # Panics
-/// Panics on unsupported dimensionality, invalid configuration, or an empty
-/// fleet (`devices == 0`).
-pub fn run_join_dyn_sharded(
-    points: &DynPoints,
-    config: SelfJoinConfig,
-    devices: usize,
-    strategy: simjoin::ShardStrategy,
-) -> (GpuRunResult, simjoin::FleetReport) {
-    run_join_dyn_sharded_with(points, config, devices, strategy, &sj_telemetry::NULL)
-}
-
-/// [`run_join_dyn_sharded`] recording executor, kernel, and per-device fleet
-/// telemetry to `telemetry`.
-pub fn run_join_dyn_sharded_with(
-    points: &DynPoints,
-    config: SelfJoinConfig,
-    devices: usize,
-    strategy: simjoin::ShardStrategy,
-    telemetry: &dyn Telemetry,
-) -> (GpuRunResult, simjoin::FleetReport) {
-    match points.dims() {
-        2 => run_join_sharded_fixed(
-            &points.as_fixed::<2>().unwrap(),
-            config,
-            devices,
-            strategy,
-            telemetry,
-        ),
-        3 => run_join_sharded_fixed(
-            &points.as_fixed::<3>().unwrap(),
-            config,
-            devices,
-            strategy,
-            telemetry,
-        ),
-        4 => run_join_sharded_fixed(
-            &points.as_fixed::<4>().unwrap(),
-            config,
-            devices,
-            strategy,
-            telemetry,
-        ),
-        5 => run_join_sharded_fixed(
-            &points.as_fixed::<5>().unwrap(),
-            config,
-            devices,
-            strategy,
-            telemetry,
-        ),
-        6 => run_join_sharded_fixed(
-            &points.as_fixed::<6>().unwrap(),
-            config,
-            devices,
-            strategy,
-            telemetry,
-        ),
-        d => panic!("unsupported dimensionality {d}"),
-    }
-}
-
-fn run_join_hybrid_fixed<const N: usize>(
-    points: &[[f32; N]],
-    config: SelfJoinConfig,
-    policy: &simjoin::HybridPolicy,
-    telemetry: &dyn Telemetry,
-) -> (GpuRunResult, simjoin::HybridReport) {
-    let start = Instant::now();
-    let label = config.label();
-    let join = SelfJoin::new(points, config)
-        .expect("join configuration must be valid")
-        .with_telemetry(telemetry);
-    let outcome = join
-        .run_hybrid(policy)
-        .expect("hybrid join execution must succeed");
-    let warp_cv = outcome.report.warp_stats().map(|s| s.cv()).unwrap_or(0.0);
-    (
-        GpuRunResult {
-            label,
-            response_s: outcome.report.response_time_s(),
-            wee: outcome.report.wee(),
-            pairs: outcome.result.len(),
-            batches: outcome.report.num_batches,
-            distance_calcs: outcome.report.distance_calcs(),
-            warp_cv,
-            sim_wall: start.elapsed(),
-        },
-        outcome.hybrid,
-    )
-}
-
-/// Runs the join through the hybrid CPU/GPU co-executor. The
-/// [`GpuRunResult`] is built from the *canonical* report, so its fields are
-/// bit-identical to [`run_join_dyn`] on the same input for any split; the
-/// [`simjoin::HybridReport`] carries the cut and the per-backend costs.
-///
-/// # Panics
-/// Panics on unsupported dimensionality, invalid configuration, or a failed
-/// differential check.
-pub fn run_join_dyn_hybrid(
-    points: &DynPoints,
-    config: SelfJoinConfig,
-    policy: &simjoin::HybridPolicy,
-    telemetry: &dyn Telemetry,
-) -> (GpuRunResult, simjoin::HybridReport) {
+) -> Result<(GpuRunResult, Execution), String> {
     macro_rules! dims {
         ($($n:literal),*) => {
             match points.dims() {
-                $($n => run_join_hybrid_fixed(
+                $($n => run_join_fixed(
                     &points.as_fixed::<$n>().unwrap(),
                     config,
-                    policy,
+                    target,
+                    fault,
                     telemetry,
                 ),)*
                 d => panic!("unsupported dimensionality {d}"),
@@ -250,120 +125,6 @@ pub fn run_join_dyn_hybrid(
         };
     }
     dims!(2, 3, 4, 5, 6)
-}
-
-fn run_join_sharded_chaos_fixed<const N: usize>(
-    points: &[[f32; N]],
-    config: SelfJoinConfig,
-    devices: usize,
-    strategy: simjoin::ShardStrategy,
-    faults: &[(usize, warpsim::FaultSchedule)],
-    telemetry: &dyn Telemetry,
-) -> Result<(GpuRunResult, simjoin::FleetReport), String> {
-    let start = Instant::now();
-    let label = config.label();
-    let mut fleet = warpsim::DeviceFleet::homogeneous(devices, config.gpu);
-    for (device, schedule) in faults {
-        fleet = fleet.with_fault_schedule(*device, schedule.clone());
-    }
-    let join = SelfJoin::new(points, config)
-        .expect("join configuration must be valid")
-        .with_telemetry(telemetry);
-    let outcome = join
-        .run_on_fleet(&fleet, strategy)
-        .map_err(|e| e.to_string())?;
-    let warp_cv = outcome.report.warp_stats().map(|s| s.cv()).unwrap_or(0.0);
-    Ok((
-        GpuRunResult {
-            label,
-            response_s: outcome.report.response_time_s(),
-            wee: outcome.report.wee(),
-            pairs: outcome.result.len(),
-            batches: outcome.report.num_batches,
-            distance_calcs: outcome.report.distance_calcs(),
-            warp_cv,
-            sim_wall: start.elapsed(),
-        },
-        outcome.fleet,
-    ))
-}
-
-/// Runs a GPU join sharded across `devices` homogeneous simulated devices
-/// with per-device fault schedules attached — the failover benchmark path.
-/// `Err` carries the typed error's rendering — an acceptable chaos outcome,
-/// unlike a wrong result.
-pub fn run_join_dyn_sharded_chaos(
-    points: &DynPoints,
-    config: SelfJoinConfig,
-    devices: usize,
-    strategy: simjoin::ShardStrategy,
-    faults: &[(usize, warpsim::FaultSchedule)],
-    telemetry: &dyn Telemetry,
-) -> Result<(GpuRunResult, simjoin::FleetReport), String> {
-    macro_rules! dims {
-        ($($n:literal),*) => {
-            match points.dims() {
-                $($n => run_join_sharded_chaos_fixed(
-                    &points.as_fixed::<$n>().unwrap(),
-                    config,
-                    devices,
-                    strategy,
-                    faults,
-                    telemetry,
-                ),)*
-                d => panic!("unsupported dimensionality {d}"),
-            }
-        };
-    }
-    dims!(2, 3, 4, 5, 6)
-}
-
-fn run_join_chaos_fixed<const N: usize>(
-    points: &[[f32; N]],
-    config: SelfJoinConfig,
-    plane: &warpsim::FaultPlane,
-    telemetry: &dyn Telemetry,
-) -> Result<(GpuRunResult, Option<simjoin::DegradationReport>), String> {
-    let start = Instant::now();
-    let label = config.label();
-    let join = SelfJoin::new(points, config)
-        .expect("join configuration must be valid")
-        .with_telemetry(telemetry)
-        .with_fault_plane(plane);
-    let outcome = join.run().map_err(|e| e.to_string())?;
-    let warp_cv = outcome.report.warp_stats().map(|s| s.cv()).unwrap_or(0.0);
-    let degradation = outcome.report.degradation.clone();
-    Ok((
-        GpuRunResult {
-            label,
-            response_s: outcome.report.response_time_s(),
-            wee: outcome.report.wee(),
-            pairs: outcome.result.len(),
-            batches: outcome.report.num_batches,
-            distance_calcs: outcome.report.distance_calcs(),
-            warp_cv,
-            sim_wall: start.elapsed(),
-        },
-        degradation,
-    ))
-}
-
-/// Runs a GPU join with a fault plane attached. `Err` carries the typed
-/// error's rendering — an acceptable chaos outcome, unlike a wrong result.
-pub fn run_join_dyn_chaos(
-    points: &DynPoints,
-    config: SelfJoinConfig,
-    plane: &warpsim::FaultPlane,
-    telemetry: &dyn Telemetry,
-) -> Result<(GpuRunResult, Option<simjoin::DegradationReport>), String> {
-    match points.dims() {
-        2 => run_join_chaos_fixed(&points.as_fixed::<2>().unwrap(), config, plane, telemetry),
-        3 => run_join_chaos_fixed(&points.as_fixed::<3>().unwrap(), config, plane, telemetry),
-        4 => run_join_chaos_fixed(&points.as_fixed::<4>().unwrap(), config, plane, telemetry),
-        5 => run_join_chaos_fixed(&points.as_fixed::<5>().unwrap(), config, plane, telemetry),
-        6 => run_join_chaos_fixed(&points.as_fixed::<6>().unwrap(), config, plane, telemetry),
-        d => panic!("unsupported dimensionality {d}"),
-    }
 }
 
 fn run_superego_fixed<const N: usize>(
@@ -411,44 +172,21 @@ pub fn run_superego_dyn_with(
     cost: &warpsim::CostModel,
     telemetry: &dyn Telemetry,
 ) -> CpuRunResult {
-    match points.dims() {
-        2 => run_superego_fixed(
-            &points.as_fixed::<2>().unwrap(),
-            epsilon,
-            cpu,
-            cost,
-            telemetry,
-        ),
-        3 => run_superego_fixed(
-            &points.as_fixed::<3>().unwrap(),
-            epsilon,
-            cpu,
-            cost,
-            telemetry,
-        ),
-        4 => run_superego_fixed(
-            &points.as_fixed::<4>().unwrap(),
-            epsilon,
-            cpu,
-            cost,
-            telemetry,
-        ),
-        5 => run_superego_fixed(
-            &points.as_fixed::<5>().unwrap(),
-            epsilon,
-            cpu,
-            cost,
-            telemetry,
-        ),
-        6 => run_superego_fixed(
-            &points.as_fixed::<6>().unwrap(),
-            epsilon,
-            cpu,
-            cost,
-            telemetry,
-        ),
-        d => panic!("unsupported dimensionality {d}"),
+    macro_rules! dims {
+        ($($n:literal),*) => {
+            match points.dims() {
+                $($n => run_superego_fixed(
+                    &points.as_fixed::<$n>().unwrap(),
+                    epsilon,
+                    cpu,
+                    cost,
+                    telemetry,
+                ),)*
+                d => panic!("unsupported dimensionality {d}"),
+            }
+        };
     }
+    dims!(2, 3, 4, 5, 6)
 }
 
 #[cfg(test)]
@@ -484,12 +222,14 @@ mod tests {
         });
         let single = run_join_dyn(&pts, config.clone());
         for devices in [1usize, 4] {
-            let (sharded, fleet) = run_join_dyn_sharded(
-                &pts,
-                config.clone(),
-                devices,
-                simjoin::ShardStrategy::WorkloadAware,
-            );
+            let fleet = warpsim::DeviceFleet::homogeneous(devices, config.gpu);
+            let target = ExecTarget::Fleet {
+                fleet: &fleet,
+                strategy: simjoin::ShardStrategy::WorkloadAware,
+            };
+            let (sharded, exec) =
+                run_join_dyn_on(&pts, config.clone(), &target, None, &sj_telemetry::NULL).unwrap();
+            let fleet = exec.fleet.unwrap();
             assert_eq!(sharded.pairs, single.pairs);
             assert_eq!(sharded.batches, single.batches);
             assert_eq!(sharded.distance_calcs, single.distance_calcs);

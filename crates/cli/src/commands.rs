@@ -3,7 +3,7 @@
 use std::path::Path;
 
 use epsgrid::DynPoints;
-use simjoin::{AccessPattern, Balancing, SelfJoin, SelfJoinConfig, SortBackend};
+use simjoin::{AccessPattern, Balancing, ExecTarget, SelfJoin, SelfJoinConfig, SortBackend};
 use sj_telemetry::{JsonTelemetry, Telemetry, Value};
 use sjdata::{io as dataio, DatasetSpec};
 
@@ -194,6 +194,30 @@ fn recovery_flag(parsed: &Parsed) -> Result<simjoin::RecoveryPolicy, String> {
     }
 }
 
+/// The join configuration the join flags describe (`--pattern`,
+/// `--balancing`, `--k`, `--recovery`, `--balanced-queue`,
+/// `--sort-backend`, `--host-jobs`), and whether `--k auto` asked for the
+/// recommended `k`.
+fn join_config(parsed: &Parsed, eps: f32) -> Result<(SelfJoinConfig, bool), String> {
+    let (auto_k, k) = match parsed.optional("k") {
+        Some("auto") => (true, 1u32),
+        Some(v) => (
+            false,
+            v.parse().map_err(|_| "flag --k has an invalid value")?,
+        ),
+        None => (false, 1),
+    };
+    let mut config = SelfJoinConfig::new(eps)
+        .with_pattern(pattern_flag(parsed)?)
+        .with_balancing(balancing_flag(parsed)?)
+        .with_k(k)
+        .with_recovery(recovery_flag(parsed)?);
+    config.batching.balanced_queue = parsed.switch("balanced-queue");
+    config.sort_backend = sort_backend_flag(parsed)?;
+    host_jobs_flag(parsed, &mut config)?;
+    Ok((config, auto_k))
+}
+
 /// `--host-jobs <n>`: worker threads inside each join (fleet shards,
 /// batches, warps); `0` = one per core. When absent the config keeps its
 /// default (the `HOST_JOBS` env var, else auto). Results are bit-identical
@@ -215,21 +239,36 @@ fn exec_mode_flag(parsed: &Parsed) -> Result<simjoin::ExecMode, String> {
     }
 }
 
-/// Builds the hybrid policy for a non-GPU [`simjoin::ExecMode`] from the
-/// `--jobs` and `--cpu-fraction` flags.
-fn hybrid_policy(
+/// `--devices`, `--shard-strategy` and `--exec-mode`: where the join runs.
+fn placement_flags(
     parsed: &Parsed,
-    mode: simjoin::ExecMode,
-) -> Result<simjoin::HybridPolicy, String> {
+) -> Result<(usize, simjoin::ShardStrategy, simjoin::ExecMode), String> {
+    let devices: usize = parsed.parse_or("devices", 1)?;
+    if devices == 0 {
+        return Err("--devices must be at least 1".into());
+    }
+    let strategy_name = parsed.optional("shard-strategy").unwrap_or("workload");
+    let strategy = simjoin::ShardStrategy::by_name(strategy_name)
+        .ok_or_else(|| format!("unknown shard strategy `{strategy_name}` (workload|count)"))?;
+    let exec_mode = exec_mode_flag(parsed)?;
+    if exec_mode != simjoin::ExecMode::Gpu && devices > 1 {
+        return Err("--exec-mode cpu|hybrid co-executes against the host; use --devices 1".into());
+    }
+    Ok((devices, strategy, exec_mode))
+}
+
+/// The single-device target `--exec-mode` selects; a hybrid target takes
+/// its CPU pool size from `--jobs` and an optional forced split from
+/// `--cpu-fraction`.
+fn exec_target(parsed: &Parsed, mode: simjoin::ExecMode) -> Result<ExecTarget<'static>, String> {
+    let ExecTarget::Hybrid(policy) = ExecTarget::for_mode(mode) else {
+        return Ok(ExecTarget::Device);
+    };
     let jobs: usize = parsed.parse_or("jobs", 1)?;
     if jobs == 0 {
         return Err("--jobs must be at least 1".into());
     }
-    let mut policy = match mode {
-        simjoin::ExecMode::Cpu => simjoin::HybridPolicy::cpu_only(),
-        _ => simjoin::HybridPolicy::default(),
-    }
-    .with_jobs(jobs);
+    let mut policy = policy.with_jobs(jobs);
     if let Some(f) = parsed.optional("cpu-fraction") {
         if mode == simjoin::ExecMode::Cpu {
             return Err("--cpu-fraction conflicts with --exec-mode cpu (always 1.0)".into());
@@ -242,7 +281,7 @@ fn hybrid_policy(
         }
         policy = policy.with_forced_cpu_fraction(f);
     }
-    Ok(policy)
+    Ok(ExecTarget::Hybrid(policy))
 }
 
 /// The hybrid accounting line(s) shared by `join` and `chaos` output.
@@ -314,90 +353,32 @@ fn with_fixed<R>(
     dims!(2, 3, 4, 5, 6)
 }
 
-/// What a join run hands back to the CLI: the pairs, the report, and the
-/// `k` that was actually used (relevant under `--auto-k`).
-type RunOutput = Result<(Vec<(u32, u32)>, simjoin::JoinReport, u32), String>;
-
-/// What a sharded join hands back: the merged pairs, the canonical report,
-/// the per-device fleet breakdown, and the `k` that was used.
-type FleetRunOutput = Result<
-    (
-        Vec<(u32, u32)>,
-        simjoin::JoinReport,
-        simjoin::FleetReport,
-        u32,
-    ),
-    String,
->;
-
-/// What a hybrid co-executed join hands back: the merged pairs, the
-/// canonical report, the hybrid accounting, and the `k` that was used.
-type HybridRunOutput = Result<
-    (
-        Vec<(u32, u32)>,
-        simjoin::JoinReport,
-        simjoin::HybridReport,
-        u32,
-    ),
-    String,
->;
-
-/// What a chaos run produced: either a completed join (possibly degraded)
-/// or a typed error — both acceptable under injected faults; only a wrong
-/// pair set is not.
-enum ChaosOutcome {
-    Completed {
-        pairs: Vec<(u32, u32)>,
-        report: Box<simjoin::JoinReport>,
-        /// Present when the chaos run went through the fleet path.
-        fleet: Option<Box<simjoin::FleetReport>>,
-        /// Present when the chaos run went through the hybrid co-executor.
-        hybrid: Option<Box<simjoin::HybridReport>>,
-    },
-    Failed {
-        error: String,
-    },
+/// What a join run hands back to the CLI: the sorted pairs, the execution's
+/// canonical report plus its fleet or hybrid accounting, and the `k` that
+/// was actually used (relevant under `--k auto`).
+struct RunOutput {
+    pairs: Vec<(u32, u32)>,
+    exec: simjoin::Execution,
+    k: u32,
 }
+
+/// `Err` when the join cannot be set up; `Ok(Err)` carries the typed error
+/// of a run that failed — an acceptable outcome under injected faults,
+/// where only a wrong pair set is not.
+type RunResult = Result<Result<RunOutput, String>, String>;
 
 /// Dimension-erased access to the join for the CLI.
 trait JoinRunner {
-    fn run(&self, config: SelfJoinConfig, auto_k: bool, telemetry: &dyn Telemetry) -> RunOutput;
-    fn run_fleet(
+    /// Runs the join on `target`, with `fault` attached to the join's own
+    /// device (fleet devices carry their own schedules).
+    fn run(
         &self,
         config: SelfJoinConfig,
         auto_k: bool,
-        devices: usize,
-        strategy: simjoin::ShardStrategy,
+        target: &ExecTarget<'_>,
+        fault: Option<&warpsim::FaultPlane>,
         telemetry: &dyn Telemetry,
-    ) -> FleetRunOutput;
-    fn run_hybrid(
-        &self,
-        config: SelfJoinConfig,
-        auto_k: bool,
-        policy: &simjoin::HybridPolicy,
-        telemetry: &dyn Telemetry,
-    ) -> HybridRunOutput;
-    fn run_chaos(
-        &self,
-        config: SelfJoinConfig,
-        plane: &warpsim::FaultPlane,
-        telemetry: &dyn Telemetry,
-    ) -> Result<ChaosOutcome, String>;
-    fn run_chaos_hybrid(
-        &self,
-        config: SelfJoinConfig,
-        policy: &simjoin::HybridPolicy,
-        plane: &warpsim::FaultPlane,
-        telemetry: &dyn Telemetry,
-    ) -> Result<ChaosOutcome, String>;
-    fn run_chaos_fleet(
-        &self,
-        config: SelfJoinConfig,
-        devices: usize,
-        strategy: simjoin::ShardStrategy,
-        faults: &[(usize, warpsim::FaultSchedule)],
-        telemetry: &dyn Telemetry,
-    ) -> Result<ChaosOutcome, String>;
+    ) -> RunResult;
     fn superego_pairs(&self, eps: f32) -> Vec<(u32, u32)>;
     fn stats(&self, eps: f32) -> Result<(f64, usize, f64), String>;
     /// Runs the serve request loop: feed `lines` through a
@@ -423,144 +404,28 @@ impl<const N: usize> JoinRunner for FixedRunner<N> {
         &self,
         mut config: SelfJoinConfig,
         auto_k: bool,
+        target: &ExecTarget<'_>,
+        fault: Option<&warpsim::FaultPlane>,
         telemetry: &dyn Telemetry,
-    ) -> RunOutput {
+    ) -> RunResult {
         if auto_k {
             let probe = SelfJoin::new(&self.points, config.clone()).map_err(|e| e.to_string())?;
             config.k = probe.recommended_k();
         }
         let k = config.k;
-        let join = SelfJoin::new(&self.points, config)
+        let mut join = SelfJoin::new(&self.points, config)
             .map_err(|e| e.to_string())?
             .with_telemetry(telemetry);
-        let outcome = join.run().map_err(|e| e.to_string())?;
-        Ok((outcome.result.sorted_pairs(), outcome.report, k))
-    }
-
-    fn run_fleet(
-        &self,
-        mut config: SelfJoinConfig,
-        auto_k: bool,
-        devices: usize,
-        strategy: simjoin::ShardStrategy,
-        telemetry: &dyn Telemetry,
-    ) -> FleetRunOutput {
-        if auto_k {
-            let probe = SelfJoin::new(&self.points, config.clone()).map_err(|e| e.to_string())?;
-            config.k = probe.recommended_k();
+        if let Some(plane) = fault {
+            join = join.with_fault_plane(plane);
         }
-        let k = config.k;
-        let fleet = warpsim::DeviceFleet::homogeneous(devices, config.gpu);
-        let join = SelfJoin::new(&self.points, config)
-            .map_err(|e| e.to_string())?
-            .with_telemetry(telemetry);
-        let outcome = join
-            .run_on_fleet(&fleet, strategy)
-            .map_err(|e| e.to_string())?;
-        Ok((
-            outcome.result.sorted_pairs(),
-            outcome.report,
-            outcome.fleet,
-            k,
-        ))
-    }
-
-    fn run_hybrid(
-        &self,
-        mut config: SelfJoinConfig,
-        auto_k: bool,
-        policy: &simjoin::HybridPolicy,
-        telemetry: &dyn Telemetry,
-    ) -> HybridRunOutput {
-        if auto_k {
-            let probe = SelfJoin::new(&self.points, config.clone()).map_err(|e| e.to_string())?;
-            config.k = probe.recommended_k();
-        }
-        let k = config.k;
-        let join = SelfJoin::new(&self.points, config)
-            .map_err(|e| e.to_string())?
-            .with_telemetry(telemetry);
-        let outcome = join.run_hybrid(policy).map_err(|e| e.to_string())?;
-        Ok((
-            outcome.result.sorted_pairs(),
-            outcome.report,
-            outcome.hybrid,
-            k,
-        ))
-    }
-
-    fn run_chaos(
-        &self,
-        config: SelfJoinConfig,
-        plane: &warpsim::FaultPlane,
-        telemetry: &dyn Telemetry,
-    ) -> Result<ChaosOutcome, String> {
-        let join = SelfJoin::new(&self.points, config)
-            .map_err(|e| e.to_string())?
-            .with_telemetry(telemetry)
-            .with_fault_plane(plane);
-        Ok(match join.run() {
-            Ok(outcome) => ChaosOutcome::Completed {
-                pairs: outcome.result.sorted_pairs(),
-                report: Box::new(outcome.report),
-                fleet: None,
-                hybrid: None,
-            },
-            Err(e) => ChaosOutcome::Failed {
-                error: e.to_string(),
-            },
-        })
-    }
-
-    fn run_chaos_hybrid(
-        &self,
-        config: SelfJoinConfig,
-        policy: &simjoin::HybridPolicy,
-        plane: &warpsim::FaultPlane,
-        telemetry: &dyn Telemetry,
-    ) -> Result<ChaosOutcome, String> {
-        let join = SelfJoin::new(&self.points, config)
-            .map_err(|e| e.to_string())?
-            .with_telemetry(telemetry)
-            .with_fault_plane(plane);
-        Ok(match join.run_hybrid(policy) {
-            Ok(outcome) => ChaosOutcome::Completed {
-                pairs: outcome.result.sorted_pairs(),
-                report: Box::new(outcome.report),
-                fleet: None,
-                hybrid: Some(Box::new(outcome.hybrid)),
-            },
-            Err(e) => ChaosOutcome::Failed {
-                error: e.to_string(),
-            },
-        })
-    }
-
-    fn run_chaos_fleet(
-        &self,
-        config: SelfJoinConfig,
-        devices: usize,
-        strategy: simjoin::ShardStrategy,
-        faults: &[(usize, warpsim::FaultSchedule)],
-        telemetry: &dyn Telemetry,
-    ) -> Result<ChaosOutcome, String> {
-        let mut fleet = warpsim::DeviceFleet::homogeneous(devices, config.gpu);
-        for (device, schedule) in faults {
-            fleet = fleet.with_fault_schedule(*device, schedule.clone());
-        }
-        let join = SelfJoin::new(&self.points, config)
-            .map_err(|e| e.to_string())?
-            .with_telemetry(telemetry);
-        Ok(match join.run_on_fleet(&fleet, strategy) {
-            Ok(outcome) => ChaosOutcome::Completed {
-                pairs: outcome.result.sorted_pairs(),
-                report: Box::new(outcome.report),
-                fleet: Some(Box::new(outcome.fleet)),
-                hybrid: None,
-            },
-            Err(e) => ChaosOutcome::Failed {
-                error: e.to_string(),
-            },
+        Ok(match join.execute(target) {
+            Ok(mut exec) => Ok(RunOutput {
+                pairs: std::mem::take(&mut exec.result).sorted_pairs(),
+                exec,
+                k,
+            }),
+            Err(e) => Err(e.to_string()),
         })
     }
 
@@ -623,73 +488,41 @@ impl<const N: usize> JoinRunner for FixedRunner<N> {
 fn join(parsed: &Parsed) -> Result<(), String> {
     let eps = eps_flag(parsed)?;
     let points = load(parsed)?;
-    let pattern = pattern_flag(parsed)?;
-    let balancing = balancing_flag(parsed)?;
-    let (auto_k, k) = match parsed.optional("k") {
-        Some("auto") => (true, 1u32),
-        Some(v) => (
-            false,
-            v.parse().map_err(|_| "flag --k has an invalid value")?,
-        ),
-        None => (false, 1),
+    let (config, auto_k) = join_config(parsed, eps)?;
+    let (devices, strategy, exec_mode) = placement_flags(parsed)?;
+    let fleet = warpsim::DeviceFleet::homogeneous(devices, config.gpu);
+    let target = if devices > 1 {
+        ExecTarget::Fleet {
+            fleet: &fleet,
+            strategy,
+        }
+    } else {
+        exec_target(parsed, exec_mode)?
     };
-    let devices: usize = parsed.parse_or("devices", 1)?;
-    if devices == 0 {
-        return Err("--devices must be at least 1".into());
-    }
-    let strategy_name = parsed.optional("shard-strategy").unwrap_or("workload");
-    let strategy = simjoin::ShardStrategy::by_name(strategy_name)
-        .ok_or_else(|| format!("unknown shard strategy `{strategy_name}` (workload|count)"))?;
-    let exec_mode = exec_mode_flag(parsed)?;
-    if exec_mode != simjoin::ExecMode::Gpu && devices > 1 {
-        return Err("--exec-mode cpu|hybrid co-executes against the host; use --devices 1".into());
-    }
-    let mut config = SelfJoinConfig::new(eps)
-        .with_pattern(pattern)
-        .with_balancing(balancing)
-        .with_k(k)
-        .with_recovery(recovery_flag(parsed)?)
-        .with_exec_mode(exec_mode);
-    config.batching.balanced_queue = parsed.switch("balanced-queue");
-    config.sort_backend = sort_backend_flag(parsed)?;
-    host_jobs_flag(parsed, &mut config)?;
 
-    let (pairs, report, fleet, hybrid, used_k) = with_fixed(&points, |runner| {
-        let (pairs, report, fleet, hybrid, used_k) = if devices > 1 {
-            let (pairs, report, fleet, used_k) = runner.run_fleet(
-                config.clone(),
-                auto_k,
-                devices,
-                strategy,
-                &sj_telemetry::NULL,
-            )?;
-            (pairs, report, Some(fleet), None, used_k)
-        } else if exec_mode != simjoin::ExecMode::Gpu {
-            let policy = hybrid_policy(parsed, exec_mode)?;
-            let (pairs, report, hybrid, used_k) =
-                runner.run_hybrid(config.clone(), auto_k, &policy, &sj_telemetry::NULL)?;
-            (pairs, report, None, Some(hybrid), used_k)
-        } else {
-            let (pairs, report, used_k) =
-                runner.run(config.clone(), auto_k, &sj_telemetry::NULL)?;
-            (pairs, report, None, None, used_k)
-        };
+    let RunOutput {
+        pairs,
+        exec,
+        k: used_k,
+    } = with_fixed(&points, |runner| {
+        let out = runner.run(config.clone(), auto_k, &target, None, &sj_telemetry::NULL)??;
         if parsed.switch("verify") {
             let reference = runner.superego_pairs(eps);
-            if pairs != reference {
+            if out.pairs != reference {
                 return Err(format!(
                     "verification FAILED: GPU join found {} pairs, SUPER-EGO found {}",
-                    pairs.len(),
+                    out.pairs.len(),
                     reference.len()
                 ));
             }
             println!(
                 "verification: SUPER-EGO agrees on all {} pairs",
-                pairs.len()
+                out.pairs.len()
             );
         }
-        Ok((pairs, report, fleet, hybrid, used_k))
+        Ok(out)
     })?;
+    let report = &exec.report;
 
     println!(
         "variant               : {} (k = {used_k})",
@@ -716,7 +549,7 @@ fn join(parsed: &Parsed) -> Result<(), String> {
             }
         );
     }
-    if let Some(fleet) = &fleet {
+    if let Some(fleet) = &exec.fleet {
         println!(
             "devices               : {} ({} partitioning)",
             fleet.shards.len(),
@@ -759,7 +592,7 @@ fn join(parsed: &Parsed) -> Result<(), String> {
             );
         }
     }
-    if let Some(h) = &hybrid {
+    if let Some(h) = &exec.hybrid {
         print_hybrid(h);
         if h.makespan_s > 0.0 {
             println!(
@@ -784,29 +617,20 @@ fn join(parsed: &Parsed) -> Result<(), String> {
 fn profile(parsed: &Parsed) -> Result<(), String> {
     let eps = eps_flag(parsed)?;
     let points = load(parsed)?;
-    let pattern = pattern_flag(parsed)?;
-    let balancing = balancing_flag(parsed)?;
-    let (auto_k, k) = match parsed.optional("k") {
-        Some("auto") => (true, 1u32),
-        Some(v) => (
-            false,
-            v.parse().map_err(|_| "flag --k has an invalid value")?,
-        ),
-        None => (false, 1),
-    };
-    let mut config = SelfJoinConfig::new(eps)
-        .with_pattern(pattern)
-        .with_balancing(balancing)
-        .with_k(k);
-    config.batching.balanced_queue = parsed.switch("balanced-queue");
-    config.sort_backend = sort_backend_flag(parsed)?;
-    host_jobs_flag(parsed, &mut config)?;
+    let (config, auto_k) = join_config(parsed, eps)?;
 
     let sink = JsonTelemetry::new(format!(
-        "simjoin profile eps={eps} pattern={pattern:?} balancing={balancing:?}"
+        "simjoin profile eps={eps} pattern={:?} balancing={:?}",
+        config.pattern, config.balancing
     ));
-    let (pairs, report, used_k) =
-        with_fixed(&points, |runner| runner.run(config.clone(), auto_k, &sink))?;
+    let RunOutput {
+        pairs,
+        exec,
+        k: used_k,
+    } = with_fixed(&points, |runner| {
+        runner.run(config.clone(), auto_k, &ExecTarget::Device, None, &sink)?
+    })?;
+    let report = &exec.report;
 
     println!(
         "variant               : {} (k = {used_k})",
@@ -860,9 +684,10 @@ fn profile(parsed: &Parsed) -> Result<(), String> {
 fn chaos(parsed: &Parsed) -> Result<(), String> {
     let eps = eps_flag(parsed)?;
     let points = load(parsed)?;
-    let pattern = pattern_flag(parsed)?;
-    let balancing = balancing_flag(parsed)?;
-    let k: u32 = parsed.parse_or("k", 1)?;
+    let (config, auto_k) = join_config(parsed, eps)?;
+    if auto_k {
+        return Err("flag --k has an invalid value".into());
+    }
     let profile_name = parsed.optional("fault-profile").unwrap_or("mixed");
     let profile = warpsim::FaultProfile::by_name(profile_name).ok_or_else(|| {
         format!(
@@ -871,53 +696,32 @@ fn chaos(parsed: &Parsed) -> Result<(), String> {
         )
     })?;
     let seed: u64 = parsed.parse_or("seed", 0)?;
-    let devices: usize = parsed.parse_or("devices", 1)?;
-    if devices == 0 {
-        return Err("--devices must be at least 1".into());
-    }
-    let strategy_name = parsed.optional("shard-strategy").unwrap_or("workload");
-    let strategy = simjoin::ShardStrategy::by_name(strategy_name)
-        .ok_or_else(|| format!("unknown shard strategy `{strategy_name}` (workload|count)"))?;
-    let exec_mode = exec_mode_flag(parsed)?;
-    if exec_mode != simjoin::ExecMode::Gpu && devices > 1 {
-        return Err("--exec-mode cpu|hybrid co-executes against the host; use --devices 1".into());
-    }
-    let mut config = SelfJoinConfig::new(eps)
-        .with_pattern(pattern)
-        .with_balancing(balancing)
-        .with_k(k)
-        .with_recovery(recovery_flag(parsed)?)
-        .with_exec_mode(exec_mode);
-    config.batching.balanced_queue = parsed.switch("balanced-queue");
-    config.sort_backend = sort_backend_flag(parsed)?;
-    host_jobs_flag(parsed, &mut config)?;
+    let (devices, strategy, exec_mode) = placement_flags(parsed)?;
 
     let sink = JsonTelemetry::new(format!(
         "simjoin chaos profile={profile_name} seed={seed} eps={eps} devices={devices}"
     ));
-    let outcome = if devices > 1 {
-        // Every device draws its own schedule from the same profile, with a
-        // seed offset per device so the fault timings decorrelate.
-        let faults: Vec<(usize, warpsim::FaultSchedule)> = (0..devices)
-            .map(|d| (d, warpsim::FaultSchedule::seeded(seed + d as u64, &profile)))
-            .collect();
-        with_fixed(&points, |runner| {
-            runner.run_chaos_fleet(config.clone(), devices, strategy, &faults, &sink)
-        })?
+    // Every fleet device draws its own schedule from the same profile, with
+    // a seed offset per device so the fault timings decorrelate.
+    let mut fleet = warpsim::DeviceFleet::homogeneous(devices, config.gpu);
+    let (target, plane) = if devices > 1 {
+        for d in 0..devices {
+            let schedule = warpsim::FaultSchedule::seeded(seed + d as u64, &profile);
+            fleet = fleet.with_fault_schedule(d, schedule);
+        }
+        let target = ExecTarget::Fleet {
+            fleet: &fleet,
+            strategy,
+        };
+        (target, None)
     } else {
         let plane = warpsim::FaultPlane::seeded(seed, &profile);
         println!("injected faults       : {}", plane.injected_faults());
-        if exec_mode != simjoin::ExecMode::Gpu {
-            let policy = hybrid_policy(parsed, exec_mode)?;
-            with_fixed(&points, |runner| {
-                runner.run_chaos_hybrid(config.clone(), &policy, &plane, &sink)
-            })?
-        } else {
-            with_fixed(&points, |runner| {
-                runner.run_chaos(config.clone(), &plane, &sink)
-            })?
-        }
+        (exec_target(parsed, exec_mode)?, Some(plane))
     };
+    let outcome = with_fixed(&points, |runner| {
+        runner.run(config.clone(), false, &target, plane.as_ref(), &sink)
+    })?;
 
     println!("variant               : {}", config.label());
     println!("exec mode             : {}", exec_mode.label());
@@ -930,16 +734,11 @@ fn chaos(parsed: &Parsed) -> Result<(), String> {
         );
     }
     match &outcome {
-        ChaosOutcome::Failed { error } => {
+        Err(error) => {
             println!("outcome               : typed error — {error}");
             println!("(a typed error is an acceptable chaos outcome; a wrong result is not)");
         }
-        ChaosOutcome::Completed {
-            pairs,
-            report,
-            fleet,
-            hybrid,
-        } => {
+        Ok(RunOutput { pairs, exec, .. }) => {
             let reference = with_fixed(&points, |runner| Ok(runner.superego_pairs(eps)))?;
             if *pairs != reference {
                 return Err(format!(
@@ -952,6 +751,7 @@ fn chaos(parsed: &Parsed) -> Result<(), String> {
                 "outcome               : completed, exact ({} pairs verified)",
                 pairs.len()
             );
+            let report = &exec.report;
             println!("response time (model) : {:.6} s", report.response_time_s());
             match &report.degradation {
                 None => println!("recovery              : none (clean run)"),
@@ -969,11 +769,11 @@ fn chaos(parsed: &Parsed) -> Result<(), String> {
                     println!("device lost           : {}", d.device_lost);
                 }
             }
-            if let Some(fleet) = fleet {
+            if let Some(fleet) = &exec.fleet {
                 println!("fleet makespan (model): {:.6} s", fleet.makespan_s);
                 print_recovery(&fleet.recovery);
             }
-            if let Some(h) = hybrid {
+            if let Some(h) = &exec.hybrid {
                 print_hybrid(h);
             }
         }
@@ -1033,23 +833,29 @@ fn soak(parsed: &Parsed) -> Result<(), String> {
         return Err("soak --exec-mode supports gpu|hybrid (cpu has no device to fault)".into());
     }
     let hybrid_soak = exec_mode == simjoin::ExecMode::Hybrid;
-    let policy = hybrid_policy(parsed, exec_mode)?;
+    let target = exec_target(parsed, exec_mode)?;
     let points = spec.generate(n);
 
     // Probe the clean pair count once, then tighten the batch capacity so
     // the plan holds enough units that seeded fault schedules actually land
     // inside each device's launch window — a soak over one-launch plans
     // would exercise nothing.
+    let probe_config = SelfJoinConfig::new(eps);
+    let probe_fleet = warpsim::DeviceFleet::homogeneous(1, probe_config.gpu);
+    let probe = ExecTarget::Fleet {
+        fleet: &probe_fleet,
+        strategy: simjoin::ShardStrategy::WorkloadAware,
+    };
     let probe_pairs = with_fixed(&points, |runner| {
-        match runner.run_chaos_fleet(
-            SelfJoinConfig::new(eps),
-            1,
-            simjoin::ShardStrategy::WorkloadAware,
-            &[],
+        match runner.run(
+            probe_config.clone(),
+            false,
+            &probe,
+            None,
             &sj_telemetry::NULL,
         )? {
-            ChaosOutcome::Completed { pairs, .. } => Ok(pairs.len()),
-            ChaosOutcome::Failed { error } => Err(format!("soak probe failed: {error}")),
+            Ok(out) => Ok(out.pairs.len()),
+            Err(error) => Err(format!("soak probe failed: {error}")),
         }
     })?;
     let batching = simjoin::BatchingConfig {
@@ -1084,119 +890,90 @@ fn soak(parsed: &Parsed) -> Result<(), String> {
         let profile = warpsim::FaultProfile::by_name(profile_name).expect("known profile");
         let devices = if hybrid_soak { 1 } else { 1 + i as usize % 4 };
         let pattern = patterns[i as usize % patterns.len()];
-        let strategy = simjoin::ShardStrategy::WorkloadAware;
         let mut config = SelfJoinConfig::new(eps)
             .with_pattern(pattern)
             .with_batching(batching)
-            .with_recovery(recovery)
-            .with_exec_mode(exec_mode);
+            .with_recovery(recovery);
         host_jobs_flag(parsed, &mut config)?;
-        let faults = vec![(
-            i as usize % devices,
-            warpsim::FaultSchedule::seeded(seed, &profile),
-        )];
 
-        let round = if hybrid_soak {
-            // Hybrid soak: replay the fault schedule through the CPU/GPU
-            // co-executor and hold the same exact-result invariant against
-            // the clean hybrid run.
-            with_fixed(&points, |runner| {
-                let (clean_pairs, _, clean_h, _) =
-                    runner.run_hybrid(config.clone(), false, &policy, &sj_telemetry::NULL)?;
-                let plane = warpsim::FaultPlane::seeded(seed, &profile);
-                match runner.run_chaos_hybrid(config.clone(), &policy, &plane, &sink)? {
-                    ChaosOutcome::Failed { error } => Ok(SoakRound {
-                        error: Some(error),
-                        pairs: 0,
-                        makespan_s: 0.0,
-                        clean_makespan_s: clean_h.makespan_s,
-                        intervened: false,
-                    }),
-                    ChaosOutcome::Completed { pairs, hybrid, .. } => {
-                        if pairs != clean_pairs {
-                            return Err(format!(
-                                "exact-result invariant VIOLATED: faulted hybrid run found \
-                                 {} pairs, clean run found {}",
-                                pairs.len(),
-                                clean_pairs.len()
-                            ));
-                        }
-                        let h = hybrid.expect("hybrid runs always report the cut");
-                        Ok(SoakRound {
-                            error: None,
-                            pairs: pairs.len(),
-                            makespan_s: h.makespan_s,
-                            clean_makespan_s: clean_h.makespan_s,
-                            intervened: h.spilled_units > 0,
-                        })
-                    }
-                }
-            })
+        // A hybrid soak replays the schedule on the co-executor's device; a
+        // fleet soak on one device of a fresh fleet, against a clean fleet
+        // of the same size.
+        let (clean_fleet, faulted_fleet);
+        let (clean, faulted, plane) = if hybrid_soak {
+            let plane = warpsim::FaultPlane::seeded(seed, &profile);
+            (target, target, Some(plane))
         } else {
-            with_fixed(&points, |runner| {
-                // Clean reference on the same fleet size: the invariant is that
-                // any fault schedule yields exactly this pair set.
-                let (clean_pairs, clean_makespan_s) = match runner.run_chaos_fleet(
-                    config.clone(),
-                    devices,
-                    strategy,
-                    &[],
-                    &sj_telemetry::NULL,
-                )? {
-                    ChaosOutcome::Completed { pairs, fleet, .. } => {
-                        let fleet = fleet.expect("fleet runs always report the fleet");
-                        (pairs, fleet.makespan_s)
-                    }
-                    ChaosOutcome::Failed { error } => {
-                        return Err(format!("clean fleet run failed: {error}"));
-                    }
+            let strategy = simjoin::ShardStrategy::WorkloadAware;
+            let schedule = warpsim::FaultSchedule::seeded(seed, &profile);
+            clean_fleet = warpsim::DeviceFleet::homogeneous(devices, config.gpu);
+            faulted_fleet = warpsim::DeviceFleet::homogeneous(devices, config.gpu)
+                .with_fault_schedule(i as usize % devices, schedule);
+            let clean = ExecTarget::Fleet {
+                fleet: &clean_fleet,
+                strategy,
+            };
+            let faulted = ExecTarget::Fleet {
+                fleet: &faulted_fleet,
+                strategy,
+            };
+            (clean, faulted, None)
+        };
+        let round = with_fixed(&points, |runner| {
+            // The invariant: any fault schedule yields exactly the clean
+            // run's pair set.
+            let clean =
+                match runner.run(config.clone(), false, &clean, None, &sj_telemetry::NULL)? {
+                    Ok(out) => out,
+                    Err(error) => return Err(format!("clean run failed: {error}")),
                 };
-                match runner.run_chaos_fleet(config.clone(), devices, strategy, &faults, &sink)? {
-                    ChaosOutcome::Failed { error } => Ok(SoakRound {
+            let clean_makespan_s = clean.exec.model_s();
+            let out = match runner.run(config.clone(), false, &faulted, plane.as_ref(), &sink)? {
+                Ok(out) => out,
+                Err(error) => {
+                    return Ok(SoakRound {
                         error: Some(error),
                         pairs: 0,
                         makespan_s: 0.0,
                         clean_makespan_s,
                         intervened: false,
-                    }),
-                    ChaosOutcome::Completed {
-                        pairs,
-                        report,
-                        fleet,
-                        ..
-                    } => {
-                        if pairs != clean_pairs {
-                            return Err(format!(
-                                "exact-result invariant VIOLATED: faulted run found {} pairs, \
-                             clean run found {}",
-                                pairs.len(),
-                                clean_pairs.len()
-                            ));
-                        }
-                        let fleet = fleet.expect("fleet runs always report the fleet");
-                        // Structural bound: the parallel makespan can never
-                        // exceed the serialized response time of the same
-                        // recovered run (plus the host last-resort tail).
-                        let serial_bound =
-                            report.response_time_s() + fleet.recovery.cpu_last_resort_model_s;
-                        if fleet.makespan_s > serial_bound * 1.05 + 1e-12 {
-                            return Err(format!(
-                                "makespan bound VIOLATED: {:.6e} model s exceeds the serial \
-                             response bound {serial_bound:.6e}",
-                                fleet.makespan_s
-                            ));
-                        }
-                        Ok(SoakRound {
-                            error: None,
-                            pairs: pairs.len(),
-                            makespan_s: fleet.makespan_s,
-                            clean_makespan_s,
-                            intervened: fleet.recovery.intervened(),
-                        })
-                    }
+                    })
                 }
+            };
+            if out.pairs != clean.pairs {
+                return Err(format!(
+                    "exact-result invariant VIOLATED: faulted run found {} pairs, \
+                     clean run found {}",
+                    out.pairs.len(),
+                    clean.pairs.len()
+                ));
+            }
+            let intervened = match (&out.exec.fleet, &out.exec.hybrid) {
+                (Some(fleet), _) => {
+                    // Structural bound: the parallel makespan can never
+                    // exceed the serialized response time of the same
+                    // recovered run (plus the host last-resort tail).
+                    let serial_bound =
+                        out.exec.report.response_time_s() + fleet.recovery.cpu_last_resort_model_s;
+                    if fleet.makespan_s > serial_bound * 1.05 + 1e-12 {
+                        return Err(format!(
+                            "makespan bound VIOLATED: {:.6e} model s exceeds the serial \
+                             response bound {serial_bound:.6e}",
+                            fleet.makespan_s
+                        ));
+                    }
+                    fleet.recovery.intervened()
+                }
+                (None, hybrid) => hybrid.as_ref().is_some_and(|h| h.spilled_units > 0),
+            };
+            Ok(SoakRound {
+                error: None,
+                pairs: out.pairs.len(),
+                makespan_s: out.exec.model_s(),
+                clean_makespan_s,
+                intervened,
             })
-        }
+        })
         .map_err(|e| {
             format!(
                 "soak iteration {i} (profile={profile_name} devices={devices} seed={seed}): {e}"
@@ -1272,8 +1049,7 @@ fn serve(parsed: &Parsed) -> Result<(), String> {
     let mut config = SelfJoinConfig::new(eps)
         .with_pattern(pattern)
         .with_balancing(balancing)
-        .with_k(k)
-        .with_exec_mode(exec_mode);
+        .with_k(k);
     host_jobs_flag(parsed, &mut config)?;
     let queue_capacity: usize =
         parsed.parse_or("queue-capacity", simjoin::serve::DEFAULT_QUEUE_CAPACITY)?;
@@ -1289,6 +1065,7 @@ fn serve(parsed: &Parsed) -> Result<(), String> {
         queue_capacity,
         coalesce: !parsed.switch("no-coalesce"),
         rebuild_limit,
+        exec_mode,
     };
     if parsed.optional("script").is_some() && parsed.optional("listen").is_some() {
         return Err("--script conflicts with --listen (pick one request source)".into());
@@ -1300,35 +1077,32 @@ fn serve(parsed: &Parsed) -> Result<(), String> {
         exec_mode.label(),
         serve_cfg.coalesce
     ));
-    let report = if let Some(addr) = parsed.optional("listen") {
-        // One connection at a time: the session is a state machine over one
-        // dataset, so interleaving clients would interleave their epochs.
-        let listener =
-            std::net::TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
-        eprintln!("serve: listening on {addr} (one connection, EOF = shutdown)");
-        let (stream, peer) = listener.accept().map_err(|e| e.to_string())?;
-        eprintln!("serve: client {peer} connected");
-        let reader = std::io::BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-        let mut writer = std::io::BufWriter::new(stream);
-        let mut lines = std::io::BufRead::lines(reader);
-        with_fixed(&points, |runner| {
-            runner.serve(config.clone(), serve_cfg, &mut lines, &mut writer, &sink)
-        })?
-    } else if let Some(script) = parsed.optional("script") {
-        let text = std::fs::read_to_string(script).map_err(|e| format!("reading {script}: {e}"))?;
-        let mut stdout = std::io::stdout();
-        let mut lines = text.lines().map(|l| Ok(l.to_string()));
-        with_fixed(&points, |runner| {
-            runner.serve(config.clone(), serve_cfg, &mut lines, &mut stdout, &sink)
-        })?
-    } else {
-        let stdin = std::io::stdin();
-        let mut stdout = std::io::stdout();
-        let mut lines = std::io::BufRead::lines(stdin.lock());
-        with_fixed(&points, |runner| {
-            runner.serve(config.clone(), serve_cfg, &mut lines, &mut stdout, &sink)
-        })?
-    };
+    type Lines<'t> = Box<dyn Iterator<Item = std::io::Result<String>> + 't>;
+    let script;
+    let (mut lines, mut out): (Lines, Box<dyn std::io::Write>) =
+        if let Some(addr) = parsed.optional("listen") {
+            // One connection at a time: the session is a state machine over
+            // one dataset, so interleaving clients would interleave their
+            // epochs.
+            let listener =
+                std::net::TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
+            eprintln!("serve: listening on {addr} (one connection, EOF = shutdown)");
+            let (stream, peer) = listener.accept().map_err(|e| e.to_string())?;
+            eprintln!("serve: client {peer} connected");
+            let reader = std::io::BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
+            let writer = std::io::BufWriter::new(stream);
+            (Box::new(std::io::BufRead::lines(reader)), Box::new(writer))
+        } else if let Some(path) = parsed.optional("script") {
+            script = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+            let lines = script.lines().map(|l| Ok(l.to_string()));
+            (Box::new(lines), Box::new(std::io::stdout()))
+        } else {
+            let lines = std::io::BufRead::lines(std::io::stdin().lock());
+            (Box::new(lines), Box::new(std::io::stdout()))
+        };
+    let report = with_fixed(&points, |runner| {
+        runner.serve(config.clone(), serve_cfg, &mut lines, &mut out, &sink)
+    })?;
 
     eprintln!(
         "serve summary         : {} request(s) — {} query(ies), {} join(s), \

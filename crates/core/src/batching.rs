@@ -189,6 +189,14 @@ impl BatchPlan {
         }
     }
 
+    /// The query points of unit `u`: a strided batch or a queue chunk.
+    pub fn unit_queries(&self, u: usize) -> &[u32] {
+        match self {
+            BatchPlan::Strided { batches } => &batches[u],
+            BatchPlan::Queue { order, chunks } => &order[chunks[u].clone()],
+        }
+    }
+
     /// Total query points covered by the plan.
     pub fn total_queries(&self) -> usize {
         match self {

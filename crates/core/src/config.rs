@@ -404,11 +404,6 @@ pub struct SelfJoinConfig {
     /// Where the planner's sort/scan pre-passes execute (see
     /// [`SortBackend`]).
     pub sort_backend: SortBackend,
-    /// Which substrate executes the join's work units (see [`ExecMode`]).
-    /// Consulted by the front-ends (CLI, bench, soak) to pick between
-    /// [`SelfJoin::run`](crate::SelfJoin::run) and
-    /// [`SelfJoin::run_hybrid`](crate::SelfJoin::run_hybrid).
-    pub exec_mode: ExecMode,
     /// Host worker threads for intra-join parallelism: fleet shards,
     /// within-device batches, and warp micro-execution all run on up to
     /// this many OS threads. `0` means "auto" (available hardware
@@ -437,7 +432,6 @@ impl SelfJoinConfig {
             cpu_fallback: CpuFallbackModel::default(),
             step_mode: StepMode::default(),
             sort_backend: SortBackend::default(),
-            exec_mode: ExecMode::default(),
             host_jobs: std::env::var("HOST_JOBS")
                 .ok()
                 .and_then(|v| v.parse().ok())
@@ -506,12 +500,6 @@ impl SelfJoinConfig {
     /// Builder-style: set the sort/scan pre-pass backend.
     pub fn with_sort_backend(mut self, backend: SortBackend) -> Self {
         self.sort_backend = backend;
-        self
-    }
-
-    /// Builder-style: set the execution substrate.
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = mode;
         self
     }
 
@@ -612,9 +600,12 @@ mod tests {
             assert_eq!(ExecMode::by_name(m.label()), Some(m));
         }
         assert_eq!(ExecMode::by_name("host"), None);
-        let c = SelfJoinConfig::new(0.5).with_exec_mode(ExecMode::Hybrid);
+        let c = crate::ServeConfig {
+            exec_mode: ExecMode::Hybrid,
+            ..crate::ServeConfig::default()
+        };
         assert_eq!(c.exec_mode, ExecMode::Hybrid);
-        assert_eq!(SelfJoinConfig::new(0.5).exec_mode, ExecMode::Gpu);
+        assert_eq!(crate::ServeConfig::default().exec_mode, ExecMode::Gpu);
     }
 
     #[test]

@@ -12,10 +12,10 @@ use warpsim::{
 
 use crate::batching::{
     buffer_capacity_for, estimate_prefix, estimate_strided, inclusive_workload_prefix,
-    num_batches_scaled, plan_queue, plan_queue_balanced_from_prefix, plan_strided, BatchPlan,
+    num_batches_for, plan_queue, plan_queue_balanced_from_prefix, plan_strided, BatchPlan,
     ResultEstimate,
 };
-use crate::config::{Balancing, SelfJoinConfig, SortBackend};
+use crate::config::{Balancing, ExecMode, SelfJoinConfig, SortBackend};
 use crate::device_prepass::{DevicePrepass, PrePassReport};
 use crate::fallback::{cpu_join_queries, CpuFallbackStats};
 use crate::fleet::{
@@ -104,6 +104,15 @@ pub struct BatchReport {
     pub kernel_s: f64,
     /// Device-to-host transfer time in model seconds.
     pub transfer_s: f64,
+}
+
+impl BatchReport {
+    fn timing(&self) -> BatchTiming {
+        BatchTiming {
+            kernel_s: self.kernel_s,
+            transfer_s: self.transfer_s,
+        }
+    }
 }
 
 /// What the resilient executor had to do to finish a join under faults.
@@ -217,10 +226,69 @@ pub struct JoinOutcome {
     pub report: JoinReport,
 }
 
+/// Where a join's planned units execute — the one selector every
+/// front-end hands to [`SelfJoin::execute`].
+#[derive(Debug, Clone, Copy)]
+pub enum ExecTarget<'f> {
+    /// The join's own simulated device (its `GpuConfig` and fault plane).
+    Device,
+    /// A fleet of simulated devices, the plan cut into one region per
+    /// device by `strategy`, with reshard and straggler recovery.
+    Fleet {
+        /// The devices (each with its own queue head and fault plane).
+        fleet: &'f DeviceFleet,
+        /// How the plan's units are cut into per-device regions.
+        strategy: ShardStrategy,
+    },
+    /// The hybrid CPU/GPU co-executor.
+    Hybrid(HybridPolicy),
+}
+
+impl ExecTarget<'static> {
+    /// The single-device target an [`ExecMode`] selects: the device alone,
+    /// or the hybrid co-executor with every unit forced onto the CPU
+    /// ([`HybridPolicy::cpu_only`]) or under the measured auto cut.
+    pub fn for_mode(mode: ExecMode) -> Self {
+        match mode {
+            ExecMode::Gpu => ExecTarget::Device,
+            ExecMode::Cpu => ExecTarget::Hybrid(HybridPolicy::cpu_only()),
+            ExecMode::Hybrid => ExecTarget::Hybrid(HybridPolicy::default()),
+        }
+    }
+}
+
+/// What [`SelfJoin::execute`] returns: the merged pair set, the canonical
+/// report (bit-identical across targets on a clean run), and the target's
+/// own accounting.
+#[derive(Debug, Clone)]
+pub struct Execution {
+    /// The exact self-join result, merged in plan order.
+    pub result: ResultSet,
+    /// The canonical report.
+    pub report: JoinReport,
+    /// The per-device breakdown, for a fleet target.
+    pub fleet: Option<FleetReport>,
+    /// The split decision and per-backend costs, for a hybrid target.
+    pub hybrid: Option<HybridReport>,
+}
+
+impl Execution {
+    /// Model seconds the caller waits for the join: the fleet makespan,
+    /// the overlapped hybrid makespan, or the single device's response
+    /// time.
+    pub fn model_s(&self) -> f64 {
+        match (&self.fleet, &self.hybrid) {
+            (Some(fleet), _) => fleet.makespan_s,
+            (None, Some(hybrid)) => hybrid.makespan_s,
+            (None, None) => self.report.response_time_s(),
+        }
+    }
+}
+
 /// A configured self-join over a dataset.
 ///
 /// Construction builds the ε-grid index and resolves the access pattern;
-/// [`SelfJoin::run`] executes the batched kernels on the simulated GPU.
+/// [`SelfJoin::execute`] runs the batched kernels on an [`ExecTarget`].
 pub struct SelfJoin<'a, const N: usize> {
     points: &'a [Point<N>],
     config: SelfJoinConfig,
@@ -392,7 +460,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
 
     /// Builds the batch plan (exposed for tests and benches).
     pub fn plan(&self) -> (ResultEstimate, BatchPlan) {
-        let (estimate, plan, _) = self.plan_with(1);
+        let (estimate, plan, _) = self.plan_with_prepass();
         (estimate, plan)
     }
 
@@ -411,18 +479,13 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         }
     }
 
-    /// Builds the batch plan with the batch count scaled by `multiplier`
-    /// **before** the `max_batches` saturation cap is applied, so a scaled
-    /// re-plan still respects the device-saturation floor (the per-batch
-    /// buffer grows instead of the batch count blowing past the cap).
-    ///
-    /// Under [`SortBackend::Device`] the SORTBYWL sorts, the WORKQUEUE cell
-    /// ordering, and the balanced-queue prefix sum run as warp-kernel
-    /// chains; the returned plan is bit-identical to the host backend's (the
-    /// primitives match the host oracles exactly, and a faulted pre-pass
-    /// degrades to the host path), with the chains' cost accounting in the
-    /// third tuple slot.
-    fn plan_with(&self, multiplier: usize) -> (ResultEstimate, BatchPlan, Option<PrePassReport>) {
+    /// Builds the batch plan. Under [`SortBackend::Device`] the SORTBYWL
+    /// sorts, the WORKQUEUE cell ordering, and the balanced-queue prefix sum
+    /// run as warp-kernel chains; the returned plan is bit-identical to the
+    /// host backend's (the primitives match the host oracles exactly, and a
+    /// faulted pre-pass degrades to the host path), with the chains' cost
+    /// accounting in the third tuple slot.
+    fn plan_with_prepass(&self) -> (ResultEstimate, BatchPlan, Option<PrePassReport>) {
         let c = &self.config;
         let mut prepass = self.device_prepass();
         match c.balancing {
@@ -433,7 +496,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                     c.epsilon,
                     c.batching.sample_fraction,
                 );
-                let nb = num_batches_scaled(&estimate, &c.batching, multiplier);
+                let nb = num_batches_for(&estimate, &c.batching);
                 let plan = match (&mut prepass, self.profile.as_ref()) {
                     (Some(pp), Some(profile)) => {
                         let mut plan = plan_strided(self.points.len(), nb, None);
@@ -475,7 +538,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                     c.batching.sample_fraction,
                     &order,
                 );
-                let nb = num_batches_scaled(&estimate, &c.batching, multiplier);
+                let nb = num_batches_for(&estimate, &c.batching);
                 let plan = if c.batching.balanced_queue {
                     let values: Vec<u64> = order
                         .iter()
@@ -494,153 +557,204 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         }
     }
 
-    /// Executes the join with per-batch fault recovery.
+    /// Executes the join on the join's own device:
+    /// `execute(&ExecTarget::Device)` without the target accounting.
     ///
-    /// Completed batches are always salvaged. A batch that overflows its
-    /// result buffer is split in two and the halves retried (bounded by
-    /// [`RetryPolicy::max_overflow_splits`]); transient launch failures are
-    /// re-submitted under geometric backoff; a queue chunk whose device
-    /// counter does not land exactly on the chunk boundary is discarded,
-    /// the counter repaired, and the chunk re-run statically; and after
-    /// persistent device failure the remaining query points complete on the
-    /// exact CPU fallback join — the returned pair set is brute-force
-    /// identical in every recovered outcome.
-    ///
-    /// [`RetryPolicy::max_overflow_splits`]: crate::RetryPolicy::max_overflow_splits
+    /// Completed batches are always salvaged. An overflowing batch is split
+    /// and retried, transient launch failures are re-submitted under
+    /// backoff, a corrupted queue counter is repaired and its chunk re-run,
+    /// and after persistent device failure the remaining query points
+    /// complete on the exact CPU fallback join — the pair set is
+    /// brute-force identical in every recovered outcome.
     pub fn run(&self) -> Result<JoinOutcome, JoinError> {
-        let (estimate, plan, prepass) = self.plan_with_telemetry();
-        let c = &self.config;
-        let capacity = self.capacity_for(&estimate, &plan);
-        let counter = DeviceCounter::new();
-        let queue_limit = match &plan {
-            BatchPlan::Queue { order, .. } => order.len() as u64,
-            _ => 0,
-        };
-        let items: Vec<WorkItem> = (0..plan.num_batches()).map(WorkItem::planned).collect();
-        let ctx = ShardCtx {
-            device: None,
-            gpu: &c.gpu,
-            fault: self.fault,
-            counter: &counter,
-            capacity,
-            queue_limit,
-            defer: false,
-        };
-        let ShardExecution {
-            result,
-            batch_reports,
-            totals,
-            gather_ns,
-            recovery,
-            ..
-        } = self.execute_units(&plan, &items, &ctx)?;
-        let timings: Vec<BatchTiming> = batch_reports
-            .iter()
-            .map(|b| BatchTiming {
-                kernel_s: b.kernel_s,
-                transfer_s: b.transfer_s,
-            })
-            .collect();
-        let pipeline = StreamPipeline::new(c.batching.num_streams).schedule(&timings);
-        let total_pairs = result.len();
-        let degradation = recovery.into_report(batch_reports.len());
-        let recovery_s = degradation
-            .as_ref()
-            .map_or(0.0, |d| d.backoff_s + d.cpu_model_s);
-        if self.telemetry.is_enabled() {
-            self.record_tail_events(
-                &estimate,
-                gather_ns,
-                batch_reports.len(),
-                total_pairs,
-                pipeline.total_s + recovery_s,
-                &totals,
-                degradation.as_ref().is_some_and(|d| d.points_degraded > 0),
-            );
-        }
+        let e = self.execute(&ExecTarget::Device)?;
         Ok(JoinOutcome {
-            result,
-            report: JoinReport {
-                estimate,
-                num_batches: batch_reports.len(),
-                batches: batch_reports,
-                pipeline,
-                totals,
-                total_pairs,
-                degradation,
-                prepass,
-            },
+            result: e.result,
+            report: e.report,
         })
     }
 
-    /// Executes the join sharded across a [`DeviceFleet`].
-    ///
-    /// The join is planned **once**, exactly as [`SelfJoin::run`] plans it;
-    /// the plan's units are then cut into one contiguous region per device
-    /// by `strategy` (see [`crate::fleet`]) and each region executes on its
-    /// own device — own queue head, own result buffer, own stream pipeline,
-    /// own fault plane. Per-batch launches are parameterized identically to
-    /// the single-device run, so on a clean homogeneous fleet the merged
-    /// pair set and the canonical [`FleetOutcome::report`] are bit-identical
-    /// to [`SelfJoin::run`] for **any** device count; the fleet adds the
-    /// per-shard breakdown and the makespan (maximum shard response time).
-    ///
-    /// Faults are per-device (attach schedules via
-    /// [`DeviceFleet::with_fault_schedule`]): a device lost mid-shard
-    /// degrades only its own region to the exact CPU fallback, and the
-    /// merged join stays exact. One difference from the single-device
-    /// executor under faults: the overflow-split and retry budgets of
-    /// [`crate::RetryPolicy`] apply **per shard**, since each device
-    /// recovers independently.
+    /// Executes the join sharded across a [`DeviceFleet`]:
+    /// `execute(&ExecTarget::Fleet { fleet, strategy })`. On a clean
+    /// homogeneous fleet the merged pair set and the canonical report are
+    /// bit-identical to [`SelfJoin::run`] for any device count; the
+    /// [`FleetReport`] adds the per-shard breakdown and the makespan.
     pub fn run_on_fleet(
         &self,
         fleet: &DeviceFleet,
         strategy: ShardStrategy,
     ) -> Result<FleetOutcome, JoinError> {
+        let e = self.execute(&ExecTarget::Fleet { fleet, strategy })?;
+        Ok(FleetOutcome {
+            result: e.result,
+            report: e.report,
+            fleet: e.fleet.expect("a fleet target always reports its fleet"),
+        })
+    }
+
+    /// Executes the join as a hybrid CPU/GPU co-process:
+    /// `execute(&ExecTarget::Hybrid(*policy))`. The pair set and the
+    /// canonical report are those of [`SelfJoin::run`] for any split; the
+    /// [`HybridReport`] carries the cut and both backends' costs.
+    pub fn run_hybrid(&self, policy: &HybridPolicy) -> Result<HybridOutcome, JoinError> {
+        let e = self.execute(&ExecTarget::Hybrid(*policy))?;
+        Ok(HybridOutcome {
+            result: e.result,
+            report: e.report,
+            hybrid: e.hybrid.expect("a hybrid target always reports its split"),
+        })
+    }
+
+    /// Executes the join on `target`: the one plan → execute → merge body
+    /// behind every execution mode.
+    ///
+    /// The join is planned once; the target's body runs the planned units
+    /// — on one device; on a fleet, with per-device fault planes, reshard
+    /// of a failed device's remainder onto survivors and straggler
+    /// rebalancing; or as the hybrid co-process, where the GPU executes the
+    /// full plan, the CPU pool recomputes its share, and every CPU segment
+    /// is checked pair-for-pair against the GPU segment it replaces (a
+    /// divergence is [`JoinError::Hybrid`]). Every completed unit is then
+    /// merged in plan order into the result and the canonical
+    /// [`JoinReport`], which is bit-identical across targets on a clean
+    /// run; the target's own accounting lands on [`Execution::fleet`] or
+    /// [`Execution::hybrid`] and in telemetry only.
+    pub fn execute(&self, target: &ExecTarget<'_>) -> Result<Execution, JoinError> {
+        if let ExecTarget::Fleet { fleet, .. } = target {
+            self.check_fleet(fleet)?;
+        }
         let c = &self.config;
+        let telemetry_on = self.telemetry.is_enabled();
+        let (estimate, plan, prepass) = self.plan_with_telemetry();
+        let run = PlannedRun {
+            capacity: self.capacity_for(&estimate, &plan),
+            queue_limit: match &plan {
+                BatchPlan::Queue { order, .. } => order.len() as u64,
+                _ => 0,
+            },
+            plan,
+        };
+        let mut store: Vec<ResultSet> = Vec::new();
+        let body = match target {
+            ExecTarget::Device => {
+                let (items, mut exec) = self.execute_on_device(&run, false)?;
+                let done = exec.take_done(&items, &mut store, &mut 0, false);
+                Body::new(done, exec)
+            }
+            ExecTarget::Fleet { fleet, strategy } => {
+                self.execute_fleet(&run, fleet, *strategy, &mut store)?
+            }
+            ExecTarget::Hybrid(policy) => self.execute_hybrid(&run, policy, &mut store)?,
+        };
+
+        let (result, batches, totals) = merge(store, body.done, c.gpu.warp_size);
+        let timings: Vec<BatchTiming> = batches.iter().map(BatchReport::timing).collect();
+        let report = JoinReport {
+            estimate,
+            num_batches: batches.len(),
+            degradation: body.recovery.into_report(batches.len()),
+            batches,
+            pipeline: StreamPipeline::new(c.batching.num_streams).schedule(&timings),
+            totals,
+            total_pairs: result.len(),
+            prepass,
+        };
+        if telemetry_on {
+            self.record_tail_events(&report, body.gather_ns);
+            if let (ExecTarget::Fleet { fleet, strategy }, Some(f)) = (target, &body.fleet) {
+                self.telemetry.record(
+                    Event::new("executor.fleet", "fleet_summary")
+                        .u64("devices", fleet.len() as u64)
+                        .str("strategy", strategy.label())
+                        .f64("makespan_model_s", f.makespan_s)
+                        .f64("canonical_response_model_s", report.response_time_s())
+                        .u64("devices_lost", fleet.lost_devices() as u64),
+                );
+            }
+            for event in body.trailer {
+                self.telemetry.record(event);
+            }
+        }
+        Ok(Execution {
+            result,
+            report,
+            fleet: body.fleet,
+            hybrid: body.hybrid,
+        })
+    }
+
+    /// Rejects a fleet the configured kernels cannot run on.
+    fn check_fleet(&self, fleet: &DeviceFleet) -> Result<(), JoinError> {
         if fleet.is_empty() {
             return Err(JoinError::Fleet("fleet has no devices".into()));
         }
-        for dev in fleet.iter() {
-            if dev.gpu().warp_size != c.gpu.warp_size {
-                return Err(JoinError::Fleet(format!(
-                    "device {} warp size {} differs from the configured {} \
-                     (a heterogeneous warp width would change the coop-group \
-                     layout per shard)",
-                    dev.id(),
-                    dev.gpu().warp_size,
-                    c.gpu.warp_size
-                )));
+        let warp_size = self.config.gpu.warp_size;
+        match fleet.iter().find(|dev| dev.gpu().warp_size != warp_size) {
+            Some(dev) => Err(JoinError::Fleet(format!(
+                "device {} warp size {} differs from the configured {warp_size} \
+                 (a heterogeneous warp width would change the coop-group \
+                 layout per shard)",
+                dev.id(),
+                dev.gpu().warp_size,
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// Runs every planned unit on the join's own device (its `GpuConfig`
+    /// and fault plane), handing back the item list and the raw output.
+    /// `defer` hands a persistently failed remainder back as an
+    /// interruption instead of degrading it in-shard.
+    fn execute_on_device(
+        &self,
+        run: &PlannedRun,
+        defer: bool,
+    ) -> Result<(Vec<WorkItem>, ShardExecution), JoinError> {
+        let counter = DeviceCounter::new();
+        let items: Vec<WorkItem> = (0..run.plan.num_batches()).map(WorkItem::planned).collect();
+        let ctx = ShardCtx {
+            device: None,
+            gpu: &self.config.gpu,
+            fault: self.fault,
+            counter: &counter,
+            capacity: run.capacity,
+            queue_limit: run.queue_limit,
+            defer,
+        };
+        let exec = self.execute_units(&run.plan, &items, &ctx, self.telemetry)?;
+        Ok((items, exec))
+    }
+
+    /// Quantified per-point workload for cutting the plan: the balancing
+    /// profile when one exists, otherwise profiled here. Host-side only —
+    /// it cannot change kernel behaviour or model times.
+    fn per_point_workload(&self) -> std::borrow::Cow<'_, [u64]> {
+        match self.profile.as_ref() {
+            Some(profile) => std::borrow::Cow::Borrowed(profile.per_point()),
+            None => {
+                std::borrow::Cow::Owned(WorkloadProfile::compute(&self.grid).per_point().to_vec())
             }
         }
+    }
+
+    /// The fleet body: cut the plan into one region per device, execute
+    /// the regions concurrently, then re-shard whatever persistently failed
+    /// devices left behind onto survivors and move straggler tails, round
+    /// by round, within the recovery budget.
+    fn execute_fleet(
+        &self,
+        run: &PlannedRun,
+        fleet: &DeviceFleet,
+        strategy: ShardStrategy,
+        store: &mut Vec<ResultSet>,
+    ) -> Result<Body, JoinError> {
+        let c = &self.config;
         let telemetry_on = self.telemetry.is_enabled();
-        let (estimate, plan, prepass) = self.plan_with_telemetry();
-        let capacity = self.capacity_for(&estimate, &plan);
-        // Quantified per-unit workload for the cut: reuse the balancing
-        // profile when one exists; otherwise profile here. Host-side only —
-        // it cannot change kernel behaviour or model times.
-        let fallback_profile;
-        let per_point: &[u64] = match self.profile.as_ref() {
-            Some(profile) => profile.per_point(),
-            None => {
-                fallback_profile = WorkloadProfile::compute(&self.grid);
-                fallback_profile.per_point()
-            }
-        };
-        let weights = unit_workloads(&plan, per_point);
+        let plan = &run.plan;
+        let per_point = self.per_point_workload();
+        let weights = unit_workloads(plan, &per_point);
         let regions = self.partition_for_fleet(&weights, fleet.len(), strategy);
-        let queue_limit = match &plan {
-            BatchPlan::Queue { order, .. } => order.len() as u64,
-            _ => 0,
-        };
         let defer = c.recovery.reshard_enabled();
-        // Resolves a planned unit back to its query set (CPU last resort).
-        let planned_queries = |u: usize| -> Vec<u32> {
-            match &plan {
-                BatchPlan::Strided { batches } => batches[u].clone(),
-                BatchPlan::Queue { order, chunks } => order[chunks[u].clone()].to_vec(),
-            }
-        };
         // Quantified workload of a re-shardable work item: planned units
         // reuse the cut weights, carried-over query sets re-sum per point.
         let item_weight = |it: &WorkItem| -> u64 {
@@ -650,7 +764,8 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             }
         };
 
-        let mut states: Vec<DeviceState> = (0..fleet.len()).map(|_| DeviceState::new()).collect();
+        let mut states: Vec<DeviceState> =
+            (0..fleet.len()).map(|_| DeviceState::default()).collect();
         let mut rec = crate::fleet::FleetRecoveryReport::default();
         let mut cpu_done: Vec<DoneItem> = Vec::new();
         let mut gather_ns: u64 = 0;
@@ -663,10 +778,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         let mut region_workloads: Vec<u64> = Vec::with_capacity(fleet.len());
         let mut assignment: Vec<(usize, Vec<WorkItem>)> = Vec::with_capacity(fleet.len());
         for (d, region) in regions.iter().enumerate() {
-            let queries: usize = match &plan {
-                BatchPlan::Strided { batches } => region.clone().map(|u| batches[u].len()).sum(),
-                BatchPlan::Queue { chunks, .. } => region.clone().map(|u| chunks[u].len()).sum(),
-            };
+            let queries: usize = region.clone().map(|u| plan.unit_queries(u).len()).sum();
             let workload: u64 = weights[region.clone()].iter().sum();
             if telemetry_on {
                 self.telemetry.record(
@@ -714,12 +826,12 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                         gpu: device.gpu(),
                         fault: device.fault_plane(),
                         counter: device.counter(),
-                        capacity,
-                        queue_limit,
+                        capacity: run.capacity,
+                        queue_limit: run.queue_limit,
                         defer,
                     };
                     let buffer = EventBuffer::new(telemetry_on);
-                    let res = self.execute_units_with(&plan, &items, &ctx, &buffer);
+                    let res = self.execute_units(plan, &items, &ctx, &buffer);
                     (d, items, buffer, res)
                 });
             for (d, items, buffer, res) in execs {
@@ -731,57 +843,14 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                 // A typed error surfaces after the failing device's own
                 // partial events, exactly as in the serial walk; later
                 // devices' buffers are dropped unseen.
-                let exec = res?;
+                let mut exec = res?;
                 gather_ns += exec.gather_ns;
                 let state = &mut states[d];
                 state.recovery.merge(&exec.recovery);
-                let interrupted = exec.interruption.is_some();
-                // Re-key executed batches by submitting item: items complete
-                // strictly in order, so each item's batches and pairs are
-                // contiguous runs of the shard output.
-                let all_pairs = exec.result.pairs();
-                let mut pair_off = 0usize;
-                let mut batch_idx = 0usize;
-                while batch_idx < exec.batch_reports.len() {
-                    let item_idx = exec.batch_items[batch_idx];
-                    let mut end = batch_idx;
-                    let mut item_pairs = 0usize;
-                    while end < exec.batch_items.len() && exec.batch_items[end] == item_idx {
-                        item_pairs += exec.batch_reports[end].pairs;
-                        end += 1;
-                    }
-                    state.done.push(DoneItem {
-                        key: items[item_idx].unit,
-                        seq,
-                        // An interrupted shard's completed fragments may be
-                        // partial (a split half whose sibling never ran);
-                        // they are checkpointed output, never respawned.
-                        work: (!interrupted).then(|| items[item_idx].clone()),
-                        pairs: all_pairs[pair_off..pair_off + item_pairs].to_vec(),
-                        batches: exec.batch_reports[batch_idx..end].to_vec(),
-                    });
-                    seq += 1;
-                    pair_off += item_pairs;
-                    batch_idx = end;
-                }
-                if exec.recovery.cpu.is_some() {
-                    // Degrade mode: the shard finished its own remainder on
-                    // the CPU; its pairs sort right after the failing
-                    // unit's salvaged fragments.
-                    let key = exec
-                        .cpu_tail_key
-                        .unwrap_or_else(|| items.last().map_or(0, |it| it.unit));
-                    state.done.push(DoneItem {
-                        key,
-                        seq,
-                        work: None,
-                        pairs: all_pairs[pair_off..].to_vec(),
-                        batches: Vec::new(),
-                    });
-                    seq += 1;
-                }
+                let done = exec.take_done(&items, store, &mut seq, true);
+                state.done.extend(done);
                 if let Some(intr) = exec.interruption {
-                    state.usable = false;
+                    state.retired = true;
                     state.reassigned_out += intr.remnants.len();
                     rec.devices_lost += 1;
                     rec.health.push(crate::fleet::HealthEvent {
@@ -812,7 +881,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                 let survivors: Vec<usize> = states
                     .iter()
                     .enumerate()
-                    .filter(|(_, s)| s.usable)
+                    .filter(|(_, s)| !s.retired)
                     .map(|(d, _)| d)
                     .collect();
                 if survivors.is_empty() || rec.reshard_rounds >= c.recovery.max_reshard_rounds {
@@ -831,24 +900,16 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                     // item, so the canonical merge can interleave
                     // CPU-completed units with GPU-completed units in plan
                     // order.
-                    let owned: Vec<Vec<u32>> = leftovers
-                        .iter()
-                        .map(|it| match &it.queries {
-                            Some(q) => q.clone(),
-                            None => planned_queries(it.unit),
-                        })
+                    let tasks = leftovers
+                        .into_iter()
+                        .map(|it| (it.unit, it.into_queries(plan)))
                         .collect();
-                    let sets: Vec<&[u32]> = owned.iter().map(|v| v.as_slice()).collect();
-                    let mut per_set: Vec<Vec<(u32, u32)>> = Vec::new();
                     let sw_cpu = Stopwatch::start();
-                    let stats = crate::fallback::cpu_join_query_sets(
-                        &self.grid,
-                        self.points,
-                        &self.resolved,
-                        c.epsilon,
-                        &sets,
-                        &mut per_set,
-                    );
+                    let segments = self.cpu_pool(1, tasks);
+                    let mut stats = CpuFallbackStats::default();
+                    for (_, _, s) in &segments {
+                        stats += *s;
+                    }
                     let cpu_model_s = c.cpu_fallback.model_seconds(&stats, N as u32, &c.gpu.cost);
                     rec.cpu_last_resort_points = stats.queries;
                     rec.cpu_last_resort_pairs = stats.pairs;
@@ -871,15 +932,8 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                                 .u64("host_ns", sw_cpu.elapsed_ns()),
                         );
                     }
-                    for (it, pairs) in leftovers.iter().zip(per_set) {
-                        cpu_done.push(DoneItem {
-                            key: it.unit,
-                            seq,
-                            work: None,
-                            pairs,
-                            batches: Vec::new(),
-                        });
-                        seq += 1;
+                    for (unit, pairs, _) in segments {
+                        cpu_done.push(DoneItem::cpu(unit, &mut seq, store, pairs));
                     }
                     break;
                 }
@@ -901,9 +955,6 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                         .total_cmp(&states[b].pipeline_and_response(c.batching.num_streams).1)
                         .then(a.cmp(&b))
                 });
-                let item_weights: Vec<u64> = leftovers.iter().map(item_weight).collect();
-                let cuts =
-                    partition_units(&item_weights, survivors.len(), ShardStrategy::WorkloadAware);
                 if telemetry_on {
                     self.telemetry.record(
                         Event::new("fleet", "reshard")
@@ -912,21 +963,16 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                             .u64("survivors", survivors.len() as u64),
                     );
                 }
-                for (slot, cut) in cuts.iter().enumerate() {
-                    if cut.is_empty() {
-                        continue;
-                    }
-                    let d = survivors[slot];
-                    let moved = leftovers[cut.clone()].to_vec();
-                    states[d].reassigned_in += moved.len();
-                    rec.health.push(crate::fleet::HealthEvent {
-                        device: d as u64,
-                        round,
-                        state: crate::fleet::DeviceHealth::Reassigned,
-                        units: moved.len(),
-                    });
-                    assignment.push((d, moved));
-                }
+                let item_weights: Vec<u64> = leftovers.iter().map(item_weight).collect();
+                reassign(
+                    &leftovers,
+                    &item_weights,
+                    &survivors,
+                    round,
+                    &mut states,
+                    &mut rec,
+                    &mut assignment,
+                );
                 continue;
             }
 
@@ -940,106 +986,50 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                 && c.recovery.straggler_threshold > 0.0
                 && rec.reshard_rounds < c.recovery.max_reshard_rounds
             {
-                let responses: Vec<f64> = states
-                    .iter()
-                    .map(|s| s.pipeline_and_response(c.batching.num_streams).1)
-                    .collect();
-                let active: Vec<usize> =
-                    (0..states.len()).filter(|&d| responses[d] > 0.0).collect();
-                if active.len() >= 2 {
-                    let mut sorted: Vec<f64> = active.iter().map(|&d| responses[d]).collect();
-                    sorted.sort_by(f64::total_cmp);
-                    let mid = sorted.len() / 2;
-                    let median = if sorted.len() % 2 == 1 {
-                        sorted[mid]
-                    } else {
-                        0.5 * (sorted[mid - 1] + sorted[mid])
-                    };
-                    let mut worst = active[0];
-                    for &d in &active[1..] {
-                        if responses[d] > responses[worst] {
-                            worst = d;
-                        }
+                if let Some(Straggler {
+                    worst,
+                    items,
+                    response_s,
+                    median_s,
+                    receivers,
+                }) = strip_straggler(
+                    &mut states,
+                    c.recovery.straggler_threshold,
+                    c.batching.num_streams,
+                ) {
+                    round += 1;
+                    rec.reshard_rounds += 1;
+                    rec.straggler_rebalances += 1;
+                    rec.reassigned_units += items.len();
+                    states[worst].reassigned_out += items.len();
+                    rec.health.push(crate::fleet::HealthEvent {
+                        device: worst as u64,
+                        round,
+                        state: crate::fleet::DeviceHealth::Straggler,
+                        units: items.len(),
+                    });
+                    if telemetry_on {
+                        self.telemetry.record(
+                            Event::new("fleet", "straggler")
+                                .u64("device", worst as u64)
+                                .u64("round", round as u64)
+                                .f64("response_model_s", response_s)
+                                .f64("median_model_s", median_s)
+                                .f64("threshold", c.recovery.straggler_threshold)
+                                .u64("units_moved", items.len() as u64),
+                        );
                     }
-                    let cutoff = c.recovery.straggler_threshold * median;
-                    if median > 0.0 && states[worst].usable && responses[worst] > cutoff {
-                        let receivers: Vec<usize> = (0..states.len())
-                            .filter(|&d| d != worst && states[d].usable && responses[d] < median)
-                            .collect();
-                        if !receivers.is_empty() {
-                            let stripped: Vec<WorkItem> = {
-                                let dev = &mut states[worst];
-                                let mut starts: Vec<f64> = Vec::with_capacity(dev.done.len());
-                                let mut t = 0.0f64;
-                                for item in &dev.done {
-                                    starts.push(t);
-                                    t += item.batches.iter().map(|b| b.kernel_s).sum::<f64>();
-                                }
-                                let mut cut_idx = dev.done.len();
-                                while cut_idx > 1
-                                    && dev.done[cut_idx - 1].work.is_some()
-                                    && starts[cut_idx - 1] >= cutoff
-                                {
-                                    cut_idx -= 1;
-                                }
-                                // Unreachable-by-construction: the cut loop
-                                // above only steps past items whose `work`
-                                // is `Some`, so everything drained here is
-                                // respawnable.
-                                dev.done
-                                    .drain(cut_idx..)
-                                    .map(|di| di.work.expect("only respawnable items are stripped"))
-                                    .collect()
-                            };
-                            if !stripped.is_empty() {
-                                round += 1;
-                                rec.reshard_rounds += 1;
-                                rec.straggler_rebalances += 1;
-                                rec.reassigned_units += stripped.len();
-                                states[worst].reassigned_out += stripped.len();
-                                rec.health.push(crate::fleet::HealthEvent {
-                                    device: worst as u64,
-                                    round,
-                                    state: crate::fleet::DeviceHealth::Straggler,
-                                    units: stripped.len(),
-                                });
-                                if telemetry_on {
-                                    self.telemetry.record(
-                                        Event::new("fleet", "straggler")
-                                            .u64("device", worst as u64)
-                                            .u64("round", round as u64)
-                                            .f64("response_model_s", responses[worst])
-                                            .f64("median_model_s", median)
-                                            .f64("threshold", c.recovery.straggler_threshold)
-                                            .u64("units_moved", stripped.len() as u64),
-                                    );
-                                }
-                                let item_weights: Vec<u64> =
-                                    stripped.iter().map(item_weight).collect();
-                                let cuts = partition_units(
-                                    &item_weights,
-                                    receivers.len(),
-                                    ShardStrategy::WorkloadAware,
-                                );
-                                for (slot, cut) in cuts.iter().enumerate() {
-                                    if cut.is_empty() {
-                                        continue;
-                                    }
-                                    let d = receivers[slot];
-                                    let moved = stripped[cut.clone()].to_vec();
-                                    states[d].reassigned_in += moved.len();
-                                    rec.health.push(crate::fleet::HealthEvent {
-                                        device: d as u64,
-                                        round,
-                                        state: crate::fleet::DeviceHealth::Reassigned,
-                                        units: moved.len(),
-                                    });
-                                    assignment.push((d, moved));
-                                }
-                                continue;
-                            }
-                        }
-                    }
+                    let item_weights: Vec<u64> = items.iter().map(item_weight).collect();
+                    reassign(
+                        &items,
+                        &item_weights,
+                        &receivers,
+                        round,
+                        &mut states,
+                        &mut rec,
+                        &mut assignment,
+                    );
+                    continue;
                 }
             }
             break;
@@ -1053,7 +1043,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             let (pipeline, response_time_s) = state.pipeline_and_response(c.batching.num_streams);
             makespan_s = makespan_s.max(response_time_s);
             let batches: usize = state.done.iter().map(|di| di.batches.len()).sum();
-            let pairs: usize = state.done.iter().map(|di| di.pairs.len()).sum();
+            let pairs: usize = state.done.iter().map(|di| di.span.len()).sum();
             let degradation = state.recovery.clone().into_report(batches);
             if telemetry_on {
                 self.telemetry.record(
@@ -1089,132 +1079,50 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         // The CPU last resort runs serially on the host after the devices.
         makespan_s += rec.cpu_last_resort_model_s;
         if rec.cpu_last_resort_points > 0 {
-            let acc = recovery.cpu.get_or_insert((0, 0, 0.0));
-            acc.0 += rec.cpu_last_resort_points;
-            acc.1 += rec.cpu_last_resort_pairs;
-            acc.2 += rec.cpu_last_resort_model_s;
+            recovery.merge(&RecoveryCounters {
+                cpu: Some((
+                    rec.cpu_last_resort_points,
+                    rec.cpu_last_resort_pairs,
+                    rec.cpu_last_resort_model_s,
+                )),
+                ..RecoveryCounters::default()
+            });
         }
 
-        // Canonical merge in original plan-unit order. `seq` breaks ties
-        // within a unit: completed fragments keep their execution order, so
-        // a split half salvaged from a dying device still lands before its
-        // re-homed sibling — exactly the single-device production order.
-        let mut entries: Vec<DoneItem> = states
-            .into_iter()
-            .flat_map(|s| s.done)
-            .chain(cpu_done)
-            .collect();
-        entries.sort_by(|a, b| a.key.cmp(&b.key).then(a.seq.cmp(&b.seq)));
-        let mut result = ResultSet::default();
-        let mut batch_reports: Vec<BatchReport> = Vec::with_capacity(plan.num_batches());
-        let mut totals = WarpExecution {
-            warp_size: c.gpu.warp_size,
-            ..WarpExecution::default()
-        };
-        for entry in entries {
-            result.extend(&entry.pairs);
-            for batch in entry.batches {
-                totals.accumulate(&batch.launch.totals);
-                batch_reports.push(batch);
-            }
-        }
-        let timings: Vec<BatchTiming> = batch_reports
-            .iter()
-            .map(|b| BatchTiming {
-                kernel_s: b.kernel_s,
-                transfer_s: b.transfer_s,
-            })
-            .collect();
-        let pipeline = StreamPipeline::new(c.batching.num_streams).schedule(&timings);
-        let total_pairs = result.len();
-        let degradation = recovery.into_report(batch_reports.len());
-        let recovery_s = degradation
-            .as_ref()
-            .map_or(0.0, |dg| dg.backoff_s + dg.cpu_model_s);
-        if telemetry_on {
-            self.record_tail_events(
-                &estimate,
-                gather_ns,
-                batch_reports.len(),
-                total_pairs,
-                pipeline.total_s + recovery_s,
-                &totals,
-                degradation
-                    .as_ref()
-                    .is_some_and(|dg| dg.points_degraded > 0),
-            );
-            self.telemetry.record(
-                Event::new("executor.fleet", "fleet_summary")
-                    .u64("devices", fleet.len() as u64)
-                    .str("strategy", strategy.label())
-                    .f64("makespan_model_s", makespan_s)
-                    .f64("canonical_response_model_s", pipeline.total_s + recovery_s)
-                    .u64("devices_lost", fleet.lost_devices() as u64),
-            );
-        }
-        Ok(FleetOutcome {
-            result,
-            report: JoinReport {
-                estimate,
-                num_batches: batch_reports.len(),
-                batches: batch_reports,
-                pipeline,
-                totals,
-                total_pairs,
-                degradation,
-                prepass,
-            },
-            fleet: FleetReport {
+        Ok(Body {
+            done: states
+                .into_iter()
+                .flat_map(|s| s.done)
+                .chain(cpu_done)
+                .collect(),
+            recovery,
+            gather_ns,
+            fleet: Some(FleetReport {
                 strategy,
                 shards,
                 makespan_s,
                 recovery: rec,
-            },
+            }),
+            hybrid: None,
+            trailer: Vec::new(),
         })
     }
 
-    /// Executes the join as a hybrid CPU/GPU co-process.
-    ///
-    /// The join is planned **once**, exactly as [`SelfJoin::run`] plans it;
-    /// [`crate::hybrid::choose_cut`] (or the policy's forced fraction) then
-    /// cuts the planned unit list: units `[0, cut)` are the GPU's share,
-    /// units `[cut, n)` the CPU pool's. Execution is **differential**: the
-    /// GPU executes the full plan through the shared `execute_units` path —
-    /// which keeps the returned canonical [`JoinReport`] and the executor
-    /// telemetry bit-identical to [`SelfJoin::run`] — while the CPU pool
-    /// independently recomputes its share with the exact [`crate::fallback`]
-    /// join on [`crate::hybrid::par_map`] workers. Each CPU segment is
-    /// checked pair-for-pair against the GPU segment it replaces before the
-    /// plan-order merge; a divergence returns [`JoinError::Hybrid`] instead
-    /// of a silently different result. The split decision and both backends'
-    /// cost accounting (the overlapped makespan in model seconds) land on
-    /// [`HybridOutcome::hybrid`] and in `hybrid.*` telemetry only, so
-    /// result tables stay backend-invariant.
-    ///
-    /// Under [`crate::RecoveryPolicy::reshard`] the CPU backend is also the
-    /// failover peer: a device lost mid-run hands its unexecuted remainder
-    /// to the pool (not to last-resort degradation), the remnants are
-    /// recomputed exactly, and the merged join stays exact under any fault
-    /// schedule. Under [`crate::RecoveryPolicy::degrade`] the in-shard CPU
-    /// fallback of [`SelfJoin::run`] handles the remainder unchanged.
-    pub fn run_hybrid(&self, policy: &HybridPolicy) -> Result<HybridOutcome, JoinError> {
-        let telemetry_on = self.telemetry.is_enabled();
-        let (estimate, plan, prepass) = self.plan_with_telemetry();
+    /// The hybrid body: the GPU shadow-executes the full plan (the oracle
+    /// for the differential check, and what keeps the canonical report and
+    /// event stream split-invariant); the CPU pool recomputes its share;
+    /// CPU segments at or past the cut replace the GPU's in the merge.
+    fn execute_hybrid(
+        &self,
+        run: &PlannedRun,
+        policy: &HybridPolicy,
+        store: &mut Vec<ResultSet>,
+    ) -> Result<Body, JoinError> {
         let c = &self.config;
-        let capacity = self.capacity_for(&estimate, &plan);
+        let telemetry_on = self.telemetry.is_enabled();
+        let plan = &run.plan;
         let n = plan.num_batches();
-
-        // Quantified per-unit workload for the cut (host-side only, same
-        // reuse rule as the fleet path).
-        let fallback_profile;
-        let per_point: &[u64] = match self.profile.as_ref() {
-            Some(profile) => profile.per_point(),
-            None => {
-                fallback_profile = WorkloadProfile::compute(&self.grid);
-                fallback_profile.per_point()
-            }
-        };
-        let weights = unit_workloads(&plan, per_point);
+        let weights = unit_workloads(plan, &self.per_point_workload());
         let gpu_rate = gpu_weight_throughput(&c.gpu, N as u32);
         let cpu_rate = policy.cpu.weight_throughput(N as u32, &c.gpu.cost);
         let dispatch_s = policy.cpu.dispatch_overhead_s;
@@ -1225,75 +1133,15 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             .forced_cpu_fraction
             .map(|fraction| forced_cut(&weights, fraction, gpu_rate, cpu_rate, dispatch_s));
 
-        // The GPU shadow-executes the full plan exactly as `run` does: same
-        // context, same counter, same fault plane. This is what keeps the
-        // canonical report and event stream split-invariant — and it is the
-        // oracle the CPU segments are differentially checked against.
-        let counter = DeviceCounter::new();
-        let queue_limit = match &plan {
-            BatchPlan::Queue { order, .. } => order.len() as u64,
-            _ => 0,
-        };
-        let items: Vec<WorkItem> = (0..n).map(WorkItem::planned).collect();
-        let ctx = ShardCtx {
-            device: None,
-            gpu: &c.gpu,
-            fault: self.fault,
-            counter: &counter,
-            capacity,
-            queue_limit,
-            defer: c.recovery.reshard_enabled(),
-        };
-        let exec = self.execute_units(&plan, &items, &ctx)?;
-
-        // Re-key the shard output by plan unit (the fleet merge idiom):
-        // items complete strictly in order, so each item's batches and
-        // pairs are contiguous runs of the shard output.
-        let all_pairs = exec.result.pairs();
-        let mut done: Vec<DoneItem> = Vec::new();
+        let (items, mut exec) = self.execute_on_device(run, c.recovery.reshard_enabled())?;
         let mut seq = 0usize;
-        let mut pair_off = 0usize;
-        let mut batch_idx = 0usize;
-        while batch_idx < exec.batch_reports.len() {
-            let item_idx = exec.batch_items[batch_idx];
-            let mut end = batch_idx;
-            let mut item_pairs = 0usize;
-            while end < exec.batch_items.len() && exec.batch_items[end] == item_idx {
-                item_pairs += exec.batch_reports[end].pairs;
-                end += 1;
-            }
-            done.push(DoneItem {
-                key: items[item_idx].unit,
-                seq,
-                work: None,
-                pairs: all_pairs[pair_off..pair_off + item_pairs].to_vec(),
-                batches: exec.batch_reports[batch_idx..end].to_vec(),
-            });
-            seq += 1;
-            pair_off += item_pairs;
-            batch_idx = end;
-        }
-        if exec.recovery.cpu.is_some() {
-            // Degrade recovery: the in-shard CPU fallback finished the
-            // remainder; its blob sorts after the failing unit's salvaged
-            // fragments, exactly as on the fleet path.
-            let key = exec
-                .cpu_tail_key
-                .unwrap_or_else(|| items.last().map_or(0, |it| it.unit));
-            done.push(DoneItem {
-                key,
-                seq,
-                work: None,
-                pairs: all_pairs[pair_off..].to_vec(),
-                batches: Vec::new(),
-            });
-            seq += 1;
-        }
+        let mut done = exec.take_done(&items, store, &mut seq, false);
 
         // The first plan unit with no complete GPU result: everything at or
         // past it is covered by the degrade blob or by the reshard spill,
         // so planned CPU replacement (and the differential check) applies
-        // only to the fully completed units in `[cut, f_complete)`.
+        // only to the fully completed units in `[cut, f_complete)`, each of
+        // which completed as exactly one item.
         let f_complete = if let Some(intr) = exec.interruption.as_ref() {
             intr.remnants.first().map_or(n, |it| it.unit)
         } else if exec.recovery.cpu.is_some() {
@@ -1302,22 +1150,11 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             n
         };
 
-        // Resolves a planned unit back to its query set.
-        let planned_queries = |u: usize| -> Vec<u32> {
-            match &plan {
-                BatchPlan::Strided { batches } => batches[u].clone(),
-                BatchPlan::Queue { order, chunks } => order[chunks[u].clone()].to_vec(),
-            }
-        };
-
         // Measured inputs to the auto cut: the executed batch timings
         // grouped by plan unit, and the GPU side's fixed recovery charge.
         let mut unit_timings: Vec<Vec<BatchTiming>> = vec![Vec::new(); n];
-        for (b, &item_idx) in exec.batch_reports.iter().zip(&exec.batch_items) {
-            unit_timings[items[item_idx].unit].push(BatchTiming {
-                kernel_s: b.kernel_s,
-                transfer_s: b.transfer_s,
-            });
+        for di in &done {
+            unit_timings[di.key].extend(di.batches.iter().map(BatchReport::timing));
         }
         let gpu_fixed_s = exec.recovery.backoff_s() + exec.recovery.cpu.map_or(0.0, |(_, _, s)| s);
 
@@ -1330,21 +1167,12 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         let task_lo = forced_choice.as_ref().map_or(0, |ch| ch.cut);
         let planned_tasks: Vec<(usize, Vec<u32>)> = (task_lo..f_complete)
             .filter_map(|u| {
-                let queries = planned_queries(u);
+                let queries = plan.unit_queries(u).to_vec();
                 (!queries.is_empty()).then_some((u, queries))
             })
             .collect();
-        let grid = &self.grid;
-        let points = self.points;
-        let resolved = &self.resolved;
-        let epsilon = c.epsilon;
         let sw_cpu = Stopwatch::start();
-        let planned_results =
-            crate::hybrid::par_map(policy.jobs.max(1), planned_tasks, move |(key, queries)| {
-                let mut pairs: Vec<(u32, u32)> = Vec::new();
-                let stats = cpu_join_queries(grid, points, resolved, epsilon, &queries, &mut pairs);
-                (key, pairs, stats)
-            });
+        let planned_results = self.cpu_pool(policy.jobs, planned_tasks);
         let choice = match forced_choice {
             Some(ch) => ch,
             None => {
@@ -1377,71 +1205,65 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         // Under reshard recovery, a lost device's unexecuted remnants spill
         // onto the CPU backend — the CPU is a peer device, not a last
         // resort, so there is no degradation accounting for them.
-        let mut spilled_units = 0usize;
         let mut spill_tasks: Vec<(usize, Vec<u32>)> = Vec::new();
-        if let Some(intr) = exec.interruption {
+        if let Some(intr) = exec.interruption.take() {
             let mut spilled_queries = 0usize;
             for it in intr.remnants {
-                let queries = match it.queries {
-                    Some(q) => q,
-                    None => planned_queries(it.unit),
-                };
-                if queries.is_empty() {
-                    continue;
+                let unit = it.unit;
+                let queries = it.into_queries(plan);
+                if !queries.is_empty() {
+                    spilled_queries += queries.len();
+                    spill_tasks.push((unit, queries));
                 }
-                spilled_units += 1;
-                spilled_queries += queries.len();
-                spill_tasks.push((it.unit, queries));
             }
             if telemetry_on {
                 self.telemetry.record(
                     Event::new("hybrid", "spill")
-                        .u64("units", spilled_units as u64)
+                        .u64("units", spill_tasks.len() as u64)
                         .u64("queries", spilled_queries as u64)
                         .bool("device_lost", intr.device_lost),
                 );
             }
         }
-        let spill_results =
-            crate::hybrid::par_map(policy.jobs.max(1), spill_tasks, move |(key, queries)| {
-                let mut pairs: Vec<(u32, u32)> = Vec::new();
-                let stats = cpu_join_queries(grid, points, resolved, epsilon, &queries, &mut pairs);
-                (key, pairs, stats)
-            });
+        let spilled_units = spill_tasks.len();
+        let spill_results = self.cpu_pool(policy.jobs, spill_tasks);
         let cpu_host_ns = sw_cpu.elapsed_ns();
 
-        // Drop the GPU's copies of the replaced units `[cut, f_complete)`
-        // from the merge, and collect every checked unit's GPU segment —
-        // the oracle for the differential check.
-        let mut gpu_segments: std::collections::BTreeMap<usize, Vec<(u32, u32)>> =
-            std::collections::BTreeMap::new();
-        let mut kept: Vec<DoneItem> = Vec::with_capacity(done.len());
-        for di in done {
-            if di.key >= task_lo && di.key < f_complete {
-                gpu_segments
-                    .entry(di.key)
-                    .or_default()
-                    .extend(di.pairs.iter().copied());
-            }
-            if di.key >= cut && di.key < f_complete {
-                continue;
-            }
-            kept.push(di);
-        }
         // Pairs the GPU side keeps in the merge (its prefix share, plus the
-        // degrade blob when the in-shard fallback ran).
-        let gpu_pairs_total: usize = kept.iter().map(|di| di.pairs.len()).sum();
+        // degrade blob when the in-shard fallback ran), and the GPU entry of
+        // every checked unit — the oracle for the differential check.
+        let replaced = cut..f_complete;
+        let gpu_pairs_total: usize = done
+            .iter()
+            .filter(|di| !replaced.contains(&di.key))
+            .map(|di| di.span.len())
+            .sum();
+        let mut gpu_entry: Vec<Option<usize>> = vec![None; n];
+        for (i, di) in done.iter().enumerate() {
+            if (task_lo..f_complete).contains(&di.key) {
+                gpu_entry[di.key] = Some(i);
+            }
+        }
 
         // Differential check: every recomputed segment must match the GPU
         // segment for its unit pair-for-pair. Segments at or past the cut
-        // then replace the GPU's in the merge; checked prefix segments
-        // (auto mode) are discarded; spills are admitted unchecked — the
-        // GPU never completed them, the brute-force suites cover those.
+        // then take the GPU's place in the merge (the GPU batches stay, so
+        // the canonical report keeps the full shadow run); checked prefix
+        // segments (auto mode) are discarded; spills are admitted unchecked
+        // — the GPU never completed them, the brute-force suites cover
+        // those.
         let mut cpu_stats = CpuFallbackStats::default();
         let mut cpu_pairs_total = 0usize;
         let mut cpu_items = 0usize;
+        let mut absorb = |stats: &CpuFallbackStats, pairs: usize| {
+            cpu_stats += *stats;
+            cpu_pairs_total += pairs;
+            cpu_items += 1;
+        };
         for (key, pairs, stats) in planned_results {
-            let mut gpu = gpu_segments.remove(&key).unwrap_or_default();
+            let entry = gpu_entry[key].take();
+            let mut gpu: Vec<(u32, u32)> =
+                entry.map_or_else(Vec::new, |i| done[i].pairs(store).to_vec());
             let mut cpu = pairs.clone();
             gpu.sort_unstable();
             cpu.sort_unstable();
@@ -1456,91 +1278,38 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             if key < cut {
                 continue;
             }
-            cpu_stats.queries += stats.queries;
-            cpu_stats.distance_calcs += stats.distance_calcs;
-            cpu_stats.pairs += stats.pairs;
-            cpu_pairs_total += pairs.len();
-            cpu_items += 1;
-            kept.push(DoneItem {
-                key,
-                seq,
-                work: None,
-                pairs,
-                batches: Vec::new(),
-            });
-            seq += 1;
+            absorb(&stats, pairs.len());
+            let segment = DoneItem::cpu(key, &mut seq, store, pairs);
+            match entry {
+                Some(i) => (done[i].src, done[i].span) = (segment.src, segment.span),
+                None => done.push(segment),
+            }
         }
-        if let Some((&key, gpu)) = gpu_segments.range(cut..).find(|(_, gpu)| !gpu.is_empty()) {
+        if let Some(di) = replaced
+            .clone()
+            .filter_map(|u| gpu_entry[u].map(|i| &done[i]))
+            .find(|di| !di.span.is_empty())
+        {
             return Err(JoinError::Hybrid(format!(
-                "unit {key}: the GPU produced {} pairs but the CPU share had \
+                "unit {}: the GPU produced {} pairs but the CPU share had \
                  no queries for it",
-                gpu.len()
+                di.key,
+                di.span.len()
             )));
         }
         for (key, pairs, stats) in spill_results {
-            cpu_stats.queries += stats.queries;
-            cpu_stats.distance_calcs += stats.distance_calcs;
-            cpu_stats.pairs += stats.pairs;
-            cpu_pairs_total += pairs.len();
-            cpu_items += 1;
-            kept.push(DoneItem {
-                key,
-                seq,
-                work: None,
-                pairs,
-                batches: Vec::new(),
-            });
-            seq += 1;
-        }
-
-        // Canonical merge in plan-unit order (completion order within a
-        // unit), then the same epilogue as `run` over the full shadow
-        // execution — bit-identical report and telemetry for clean runs.
-        kept.sort_by(|a, b| a.key.cmp(&b.key).then(a.seq.cmp(&b.seq)));
-        let mut result = ResultSet::default();
-        for entry in &kept {
-            result.extend(&entry.pairs);
-        }
-        let timings: Vec<BatchTiming> = exec
-            .batch_reports
-            .iter()
-            .map(|b| BatchTiming {
-                kernel_s: b.kernel_s,
-                transfer_s: b.transfer_s,
-            })
-            .collect();
-        let pipeline = StreamPipeline::new(c.batching.num_streams).schedule(&timings);
-        let total_pairs = result.len();
-        let num_batches = exec.batch_reports.len();
-        let degradation = exec.recovery.clone().into_report(num_batches);
-        let recovery_s = degradation
-            .as_ref()
-            .map_or(0.0, |d| d.backoff_s + d.cpu_model_s);
-        if telemetry_on {
-            self.record_tail_events(
-                &estimate,
-                exec.gather_ns,
-                num_batches,
-                total_pairs,
-                pipeline.total_s + recovery_s,
-                &exec.totals,
-                degradation.as_ref().is_some_and(|d| d.points_degraded > 0),
-            );
+            absorb(&stats, pairs.len());
+            done.push(DoneItem::cpu(key, &mut seq, store, pairs));
         }
 
         // Hybrid accounting: the GPU side is charged only for its kept
         // prefix (rescheduled as its own pipeline) plus its recovery time;
         // the CPU side is costed by the calibrated backend model. Both run
         // overlapped, so the hybrid response is their maximum.
-        let gpu_timings: Vec<BatchTiming> = exec
-            .batch_reports
+        let gpu_timings: Vec<BatchTiming> = done
             .iter()
-            .zip(&exec.batch_items)
-            .filter(|&(_, &item_idx)| items[item_idx].unit < cut)
-            .map(|(b, _)| BatchTiming {
-                kernel_s: b.kernel_s,
-                transfer_s: b.transfer_s,
-            })
+            .filter(|di| di.key < cut)
+            .flat_map(|di| di.batches.iter().map(BatchReport::timing))
             .collect();
         let gpu_response_s = StreamPipeline::new(c.batching.num_streams)
             .schedule(&gpu_timings)
@@ -1550,59 +1319,64 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         let cpu_model_s = policy
             .cpu
             .model_seconds(&cpu_stats, N as u32, &c.gpu.cost, cpu_items);
-        let makespan_s = gpu_response_s.max(cpu_model_s);
-        if telemetry_on {
-            self.telemetry.record(
+        let gpu_units = cut.min(f_complete);
+        let trailer = if telemetry_on {
+            vec![
                 Event::new("hybrid", "backend_done")
                     .str("backend", "gpu")
-                    .u64("units", cut.min(f_complete) as u64)
+                    .u64("units", gpu_units as u64)
                     .u64("pairs", gpu_pairs_total as u64)
                     .f64("model_s", gpu_response_s),
-            );
-            self.telemetry.record(
                 Event::new("hybrid", "backend_done")
                     .str("backend", "cpu")
                     .u64("units", cpu_items as u64)
                     .u64("pairs", cpu_pairs_total as u64)
                     .f64("model_s", cpu_model_s)
                     .u64("host_ns", cpu_host_ns),
-            );
-        }
+            ]
+        } else {
+            Vec::new()
+        };
+        let mut body = Body::new(done, exec);
+        body.trailer = trailer;
+        body.hybrid = Some(HybridReport {
+            units: n,
+            cut,
+            gpu_units,
+            cpu_units: cpu_items,
+            spilled_units,
+            forced: choice.forced,
+            predicted_gpu_s: choice.predicted_gpu_s,
+            predicted_cpu_s: choice.predicted_cpu_s,
+            gpu_response_s,
+            cpu_model_s,
+            cpu_stats,
+            makespan_s: gpu_response_s.max(cpu_model_s),
+            jobs: policy.jobs.max(1),
+        });
+        Ok(body)
+    }
 
-        Ok(HybridOutcome {
-            result,
-            report: JoinReport {
-                estimate,
-                num_batches,
-                batches: exec.batch_reports,
-                pipeline,
-                totals: exec.totals,
-                total_pairs,
-                degradation,
-                prepass,
-            },
-            hybrid: HybridReport {
-                units: n,
-                cut,
-                gpu_units: cut.min(f_complete),
-                cpu_units: cpu_items,
-                spilled_units,
-                forced: choice.forced,
-                predicted_gpu_s: choice.predicted_gpu_s,
-                predicted_cpu_s: choice.predicted_cpu_s,
-                gpu_response_s,
-                cpu_model_s,
-                cpu_stats,
-                makespan_s,
-                jobs: policy.jobs.max(1),
-            },
+    /// Computes `(unit, query set)` tasks with the exact CPU join on up to
+    /// `jobs` pool workers; results come back in task order.
+    fn cpu_pool(&self, jobs: usize, tasks: Vec<(usize, Vec<u32>)>) -> Vec<CpuSegment> {
+        crate::pool::par_map(jobs.max(1), tasks, |(key, queries)| {
+            let mut pairs: Vec<(u32, u32)> = Vec::new();
+            let stats = cpu_join_queries(
+                &self.grid,
+                self.points,
+                &self.resolved,
+                self.config.epsilon,
+                &queries,
+                &mut pairs,
+            );
+            (key, pairs, stats)
         })
     }
 
     /// Emits the setup-phase telemetry (index build, workload profile) and
-    /// builds the batch plan, recording the estimate-and-plan event. Both
-    /// the single-device and the fleet paths plan through here, so their
-    /// planning telemetry is identical.
+    /// builds the batch plan, recording the estimate-and-plan event. Every
+    /// target plans through here, so their planning telemetry is identical.
     fn plan_with_telemetry(&self) -> (ResultEstimate, BatchPlan, Option<PrePassReport>) {
         if self.telemetry.is_enabled() {
             // Index build and workload profiling happened in `new()`; their
@@ -1621,7 +1395,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             );
         }
         let sw_plan = Stopwatch::start();
-        let (estimate, plan, prepass) = self.plan_with(1);
+        let (estimate, plan, prepass) = self.plan_with_prepass();
         if self.telemetry.is_enabled() {
             self.telemetry.record(
                 Event::new("executor.phase", "estimate_and_plan")
@@ -1659,17 +1433,8 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             );
         }
         if pp.scan_invocations > 0 {
-            self.telemetry.record(
-                Event::new("executor.phase", "scan")
-                    .str("backend", "device")
-                    .u64("invocations", pp.scan_invocations as u64)
-                    .u64("launches", pp.scan_launches)
-                    .u64("cycles", pp.scan_cycles)
-                    .f64("model_s", pp.scan_model_s)
-                    .u64("transient_retries", pp.transient_retries as u64)
-                    .f64("backoff_model_s", pp.backoff_s)
-                    .bool("degraded_to_host", pp.degraded_to_host),
-            );
+            self.telemetry
+                .record(scan_event(pp, None, pp.degraded_to_host));
         }
     }
 
@@ -1690,19 +1455,8 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             if let Some(mut pp) = self.device_prepass() {
                 if let Some(prefix) = pp.inclusive_prefix(weights, "fleet_cut") {
                     if self.telemetry.is_enabled() {
-                        let s = &pp.stats;
-                        self.telemetry.record(
-                            Event::new("executor.phase", "scan")
-                                .str("backend", "device")
-                                .str("site", "fleet_cut")
-                                .u64("invocations", s.scan_invocations as u64)
-                                .u64("launches", s.scan_launches)
-                                .u64("cycles", s.scan_cycles)
-                                .f64("model_s", s.scan_model_s)
-                                .u64("transient_retries", s.transient_retries as u64)
-                                .f64("backoff_model_s", s.backoff_s)
-                                .bool("degraded_to_host", false),
-                        );
+                        self.telemetry
+                            .record(scan_event(&pp.stats, Some("fleet_cut"), false));
                     }
                     return partition_units_from_prefix(&prefix, devices, strategy);
                 }
@@ -1723,19 +1477,11 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
     }
 
     /// Records the end-of-join telemetry: gather phase, estimator accuracy,
-    /// and the join summary. Shared verbatim by the single-device and fleet
-    /// paths so their canonical event streams match.
-    #[allow(clippy::too_many_arguments)]
-    fn record_tail_events(
-        &self,
-        estimate: &ResultEstimate,
-        gather_ns: u64,
-        num_batches: usize,
-        total_pairs: usize,
-        response_s: f64,
-        totals: &WarpExecution,
-        degraded: bool,
-    ) {
+    /// and the join summary — the same for every target, so their
+    /// canonical event streams match.
+    fn record_tail_events(&self, report: &JoinReport, gather_ns: u64) {
+        let estimate = &report.estimate;
+        let total_pairs = report.total_pairs;
         self.telemetry
             .record(Event::new("executor.phase", "gather").u64("host_ns", gather_ns));
         // How well the 1 % sample predicted the true result size — the
@@ -1757,37 +1503,26 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         self.telemetry.record(
             Event::new("executor", "join_summary")
                 .str("config", self.config.label())
-                .u64("num_batches", num_batches as u64)
+                .u64("num_batches", report.num_batches as u64)
                 .u64("total_pairs", total_pairs as u64)
-                .f64("response_model_s", response_s)
-                .f64("wee", totals.efficiency())
-                .u64(
-                    "distance_calcs",
-                    totals.lane_ops_by_kind[warpsim::OpKind::Distance.index()],
-                )
-                .bool("degraded", degraded),
+                .f64("response_model_s", report.response_time_s())
+                .f64("wee", report.wee())
+                .u64("distance_calcs", report.distance_calcs())
+                .bool(
+                    "degraded",
+                    report
+                        .degradation
+                        .as_ref()
+                        .is_some_and(DegradationReport::cpu_fallback_ran),
+                ),
         );
     }
 
     /// Executes the given plan units on one device, with the full per-batch
     /// fault-recovery loop, and hands back the raw shard output (pairs,
-    /// batch reports, counters) for the caller to schedule and merge. The
-    /// single-device [`SelfJoin::run`] passes every unit with
-    /// `ctx.device = None`, which keeps its behaviour and telemetry
-    /// bit-identical to the pre-fleet executor; the fleet path passes each
-    /// shard's contiguous unit region with its device's context.
-    fn execute_units(
-        &self,
-        plan: &BatchPlan,
-        items: &[WorkItem],
-        ctx: &ShardCtx<'_>,
-    ) -> Result<ShardExecution, JoinError> {
-        self.execute_units_with(plan, items, ctx, self.telemetry)
-    }
-
-    /// [`SelfJoin::execute_units`] with an explicit telemetry sink, so a
-    /// caller running several shards concurrently can capture each shard's
-    /// event stream into its own buffer.
+    /// batch reports, recovery tallies) for the caller to merge. Events go
+    /// to `sink`, so a caller running several shards concurrently can
+    /// capture each shard's stream into its own buffer.
     ///
     /// Dispatches between the serial walk and the host-parallel item merge.
     /// Independent items execute on pool threads only when no fault plane
@@ -1796,7 +1531,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
     /// contexts always take the serial walk. Either path produces
     /// bit-identical results, reports, and event streams; only wall-clock
     /// time differs.
-    fn execute_units_with(
+    fn execute_units(
         &self,
         plan: &BatchPlan,
         items: &[WorkItem],
@@ -1831,10 +1566,6 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         let mut result = ResultSet::default();
         let mut batch_reports: Vec<BatchReport> = Vec::with_capacity(items.len());
         let mut batch_items: Vec<usize> = Vec::with_capacity(items.len());
-        let mut totals = WarpExecution {
-            warp_size: ctx.gpu.warp_size,
-            ..WarpExecution::default()
-        };
         let mut buffer = DeviceBuffer::with_capacity(ctx.capacity);
         let mut gather_ns: u64 = 0;
 
@@ -1852,17 +1583,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                 },
             })
             .collect();
-        // Queue-plan drain target: where the head must land once the last
-        // planned chunk of this item list is done. `None` when the list
-        // carries no non-empty planned chunk (then the head never moves).
-        let expected_final: Option<u64> = match plan {
-            BatchPlan::Queue { chunks, .. } => items
-                .iter()
-                .filter(|item| item.queries.is_none() && !chunks[item.unit].is_empty())
-                .map(|item| chunks[item.unit].end as u64)
-                .next_back(),
-            _ => None,
-        };
+        let expected_final = queue_drain_target(plan, items);
         let mut recovery = RecoveryCounters::default();
         let mut degraded: Option<Vec<u32>> = None;
         let mut cpu_tail_key: Option<usize> = None;
@@ -1878,12 +1599,9 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         // Resolves a unit back to its query set (for splits, counter
         // repairs, and degradation hand-off).
         let queries_of = |work: &Work| -> Vec<u32> {
-            match (work, plan) {
-                (Work::Planned(i), BatchPlan::Strided { batches }) => batches[*i].clone(),
-                (Work::Planned(i), BatchPlan::Queue { order, chunks }) => {
-                    order[chunks[*i].clone()].to_vec()
-                }
-                (Work::Split(queries), _) => queries.clone(),
+            match work {
+                Work::Planned(i) => plan.unit_queries(*i).to_vec(),
+                Work::Split(queries) => queries.clone(),
             }
         };
 
@@ -1998,7 +1716,6 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                     result.extend(buffer.as_slice());
                     buffer.clear();
                     gather_ns += sw_gather.elapsed_ns();
-                    totals.accumulate(&launch_report.totals);
                     let kernel_s = launch_report.elapsed_seconds();
                     let mut transfer_s = c.batching.transfer_seconds(pairs);
                     if let Some(plane) = ctx.fault {
@@ -2079,34 +1796,39 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                     pending.push_front(Pending::split(unit.item, right, attempt));
                     pending.push_front(Pending::split(unit.item, queries, attempt));
                 }
-                Err(err @ LaunchError::Transient(_)) => {
-                    // Transient faults fail at admission, before any queue
-                    // pop: counter and buffer are untouched, so the same
-                    // unit can simply be re-submitted.
-                    unit.transient_attempts += 1;
-                    recovery.transient_retries += 1;
-                    let backoff = c
-                        .retry
-                        .backoff_for(c.retry.transient_backoff_s, unit.transient_attempts);
-                    recovery.backoff_terms.push(backoff);
-                    if telemetry_on {
-                        sink.record(tag(Event::new("executor", "fault_retry")
-                            .str("class", "transient")
-                            .u64("attempt", unit.transient_attempts as u64)
-                            .f64("backoff_model_s", backoff)));
+                Err(err @ (LaunchError::Transient(_) | LaunchError::DeviceLost(_))) => {
+                    let device_lost = matches!(err, LaunchError::DeviceLost(_));
+                    if device_lost {
+                        recovery.device_lost = true;
+                    } else {
+                        // Transient faults fail at admission, before any
+                        // queue pop: counter and buffer are untouched, so
+                        // the same unit can simply be re-submitted.
+                        unit.transient_attempts += 1;
+                        recovery.transient_retries += 1;
+                        let backoff = c
+                            .retry
+                            .backoff_for(c.retry.transient_backoff_s, unit.transient_attempts);
+                        recovery.backoff_terms.push(backoff);
+                        if telemetry_on {
+                            sink.record(tag(Event::new("executor", "fault_retry")
+                                .str("class", "transient")
+                                .u64("attempt", unit.transient_attempts as u64)
+                                .f64("backoff_model_s", backoff)));
+                        }
+                        if unit.transient_attempts <= c.retry.max_transient_retries {
+                            pending.push_front(unit);
+                            continue;
+                        }
                     }
-                    if unit.transient_attempts <= c.retry.max_transient_retries {
-                        pending.push_front(unit);
-                        continue;
-                    }
-                    // Persistently failing launch: treat the device as
-                    // unusable for the rest of the join.
+                    // A lost device or a persistently failing launch: the
+                    // device is unusable for the rest of the join.
                     if ctx.defer {
                         let mut remnants = vec![remnant_of(items, unit)];
                         remnants.extend(pending.drain(..).map(|p| remnant_of(items, p)));
                         interruption = Some(Interruption {
                             error: err,
-                            device_lost: false,
+                            device_lost,
                             remnants,
                         });
                         break;
@@ -2120,36 +1842,12 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                         remaining.extend(queries_of(&p.work));
                     }
                     degraded = Some(remaining);
-                }
-                Err(err @ LaunchError::DeviceLost(_)) => {
-                    recovery.device_lost = true;
-                    if ctx.defer {
-                        let mut remnants = vec![remnant_of(items, unit)];
-                        remnants.extend(pending.drain(..).map(|p| remnant_of(items, p)));
-                        interruption = Some(Interruption {
-                            error: err,
-                            device_lost: true,
-                            remnants,
-                        });
-                        break;
-                    }
-                    if !c.retry.cpu_fallback {
-                        return Err(JoinError::Launch(err));
-                    }
-                    cpu_tail_key = Some(key_of(&unit));
-                    let mut remaining = queries_of(&unit.work);
-                    for p in pending.drain(..) {
-                        remaining.extend(queries_of(&p.work));
-                    }
-                    degraded = Some(remaining);
+                    break;
                 }
                 Err(err @ LaunchError::CounterFault(_)) => {
                     // Not raised by the device model today; never retryable.
                     return Err(JoinError::Launch(err));
                 }
-            }
-            if degraded.is_some() {
-                break;
             }
         }
 
@@ -2198,7 +1896,6 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             result,
             batch_reports,
             batch_items,
-            totals,
             gather_ns,
             recovery,
             interruption,
@@ -2213,7 +1910,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
     /// the head at its own start before launching, so a private head pops
     /// exactly the chunk's range — with its events captured into a
     /// per-item buffer. Outputs are then merged strictly in item order:
-    /// pairs, batch reports, warp totals, recovery tallies, and the spliced
+    /// pairs, batch reports, recovery tallies, and the spliced
     /// event stream are bit-identical to the serial walk (which executes
     /// items depth-first, so its outputs are grouped by item in item
     /// order); only wall-clock time changes. Run-global running counts in
@@ -2240,13 +1937,9 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                 let buffer = EventBuffer::new(telemetry_on);
                 let counter = DeviceCounter::new();
                 let sub_ctx = ShardCtx {
-                    device: ctx.device,
-                    gpu: ctx.gpu,
                     fault: None,
                     counter: &counter,
-                    capacity: ctx.capacity,
-                    queue_limit: ctx.queue_limit,
-                    defer: ctx.defer,
+                    ..*ctx
                 };
                 let res = self.execute_units_serial(
                     plan,
@@ -2261,10 +1954,6 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         let mut result = ResultSet::default();
         let mut batch_reports: Vec<BatchReport> = Vec::with_capacity(items.len());
         let mut batch_items: Vec<usize> = Vec::with_capacity(items.len());
-        let mut totals = WarpExecution {
-            warp_size: ctx.gpu.warp_size,
-            ..WarpExecution::default()
-        };
         let mut gather_ns: u64 = 0;
         let mut recovery = RecoveryCounters::default();
         for (item_idx, (buffer, res)) in subs.into_iter().enumerate() {
@@ -2296,37 +1985,46 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                 "faultless items cannot interrupt or degrade"
             );
             result.extend(sub.result.pairs());
-            for report in sub.batch_reports {
-                totals.accumulate(&report.launch.totals);
-                batch_reports.push(report);
-                batch_items.push(item_idx);
-            }
+            batch_items.resize(batch_items.len() + sub.batch_reports.len(), item_idx);
+            batch_reports.extend(sub.batch_reports);
             gather_ns += sub.gather_ns;
             recovery.merge(&sub.recovery);
         }
         // Leave the shared queue head where the serial walk would have:
         // drained past this item list's last planned chunk.
-        if let BatchPlan::Queue { chunks, .. } = plan {
-            if let Some(expected) = items
-                .iter()
-                .filter(|item| item.queries.is_none() && !chunks[item.unit].is_empty())
-                .map(|item| chunks[item.unit].end as u64)
-                .next_back()
-            {
-                ctx.counter.store(expected);
-            }
+        if let Some(expected) = queue_drain_target(plan, items) {
+            ctx.counter.store(expected);
         }
         Ok(ShardExecution {
             result,
             batch_reports,
             batch_items,
-            totals,
             gather_ns,
             recovery,
             interruption: None,
             cpu_tail_key: None,
         })
     }
+}
+
+/// One CPU-computed unit: its plan-unit key, pairs and operation counts.
+type CpuSegment = (usize, Vec<(u32, u32)>, CpuFallbackStats);
+
+/// The `scan` phase event of a device pre-pass; `site` names a scan run
+/// outside the planner.
+fn scan_event(pp: &PrePassReport, site: Option<&'static str>, degraded: bool) -> Event {
+    let mut event = Event::new("executor.phase", "scan").str("backend", "device");
+    if let Some(site) = site {
+        event = event.str("site", site);
+    }
+    event
+        .u64("invocations", pp.scan_invocations as u64)
+        .u64("launches", pp.scan_launches)
+        .u64("cycles", pp.scan_cycles)
+        .f64("model_s", pp.scan_model_s)
+        .u64("transient_retries", pp.transient_retries as u64)
+        .f64("backoff_model_s", pp.backoff_s)
+        .bool("degraded_to_host", degraded)
 }
 
 /// A thread-local telemetry capture: events recorded here are spliced into
@@ -2379,6 +2077,20 @@ fn bump_u64_field(event: &mut Event, key: &str, delta: u64) {
     }
 }
 
+/// Where the queue head must land once the last planned chunk of `items`
+/// is done; `None` for a strided plan or an item list with no non-empty
+/// planned chunk (then the head never moves).
+fn queue_drain_target(plan: &BatchPlan, items: &[WorkItem]) -> Option<u64> {
+    let BatchPlan::Queue { chunks, .. } = plan else {
+        return None;
+    };
+    items
+        .iter()
+        .filter(|item| item.queries.is_none() && !chunks[item.unit].is_empty())
+        .map(|item| chunks[item.unit].end as u64)
+        .next_back()
+}
+
 /// Rebuilds the re-submittable [`WorkItem`] of an unexecuted pending entry:
 /// a still-planned unit stays planned (a surviving device re-aims its own
 /// queue head at the chunk), while recovery-produced query sets travel as
@@ -2402,6 +2114,7 @@ fn remnant_of(items: &[WorkItem], p: Pending) -> WorkItem {
 /// whole join: which device runs it (for telemetry tagging and the GPU
 /// configuration), through which fault plane and queue head, and how its
 /// result buffer is sized.
+#[derive(Clone, Copy)]
 struct ShardCtx<'s> {
     /// Device id for telemetry; `None` on the single-device path keeps its
     /// event stream bit-identical to the pre-fleet executor.
@@ -2450,6 +2163,12 @@ impl WorkItem {
             split_attempts: 0,
         }
     }
+
+    /// The item's query set: its carried-over queries, or its plan unit's.
+    fn into_queries(self, plan: &BatchPlan) -> Vec<u32> {
+        self.queries
+            .unwrap_or_else(|| plan.unit_queries(self.unit).to_vec())
+    }
 }
 
 /// Unexecuted remainder of a persistently failed shard (only produced under
@@ -2475,7 +2194,6 @@ struct ShardExecution {
     /// `batch_reports`. Items complete strictly in order, so this is
     /// non-decreasing.
     batch_items: Vec<usize>,
-    totals: WarpExecution,
     gather_ns: u64,
     recovery: RecoveryCounters,
     /// Present when the shard failed persistently under `defer` mode.
@@ -2486,10 +2204,74 @@ struct ShardExecution {
     cpu_tail_key: Option<usize>,
 }
 
+impl ShardExecution {
+    /// Re-keys the shard output by submitting item: items complete strictly
+    /// in order, so each item's batches and pairs are contiguous runs of the
+    /// output. Moves the pairs into `store` (one new output) and the batch
+    /// reports into one [`DoneItem`] per item, plus one for the in-shard CPU
+    /// tail, which sorts right after the failing unit's salvaged fragments.
+    /// `respawnable` keeps whole items re-submittable (fleet stragglers).
+    fn take_done(
+        &mut self,
+        items: &[WorkItem],
+        store: &mut Vec<ResultSet>,
+        seq: &mut usize,
+        respawnable: bool,
+    ) -> Vec<DoneItem> {
+        let src = store.len();
+        store.push(std::mem::take(&mut self.result));
+        // An interrupted shard's completed fragments may be partial (a split
+        // half whose sibling never ran); they are checkpointed output, never
+        // respawned.
+        let respawnable = respawnable && self.interruption.is_none();
+        let mut reports = std::mem::take(&mut self.batch_reports).into_iter();
+        let mut done = Vec::new();
+        let mut pair_off = 0usize;
+        let mut b = 0usize;
+        while b < self.batch_items.len() {
+            let item_idx = self.batch_items[b];
+            let run = self.batch_items[b..]
+                .iter()
+                .take_while(|&&i| i == item_idx)
+                .count();
+            b += run;
+            let item = &items[item_idx];
+            let batches: Vec<BatchReport> = reports.by_ref().take(run).collect();
+            let pairs: usize = batches.iter().map(|b| b.pairs).sum();
+            done.push(DoneItem {
+                key: item.unit,
+                seq: *seq,
+                work: respawnable.then(|| item.clone()),
+                src,
+                span: pair_off..pair_off + pairs,
+                batches,
+            });
+            *seq += 1;
+            pair_off += pairs;
+        }
+        if self.recovery.cpu.is_some() {
+            done.push(DoneItem {
+                key: self
+                    .cpu_tail_key
+                    .unwrap_or_else(|| items.last().map_or(0, |it| it.unit)),
+                seq: *seq,
+                work: None,
+                src,
+                span: pair_off..store[src].len(),
+                batches: Vec::new(),
+            });
+            *seq += 1;
+        }
+        done
+    }
+}
+
 /// One completed work item's checkpointed output, tagged for the canonical
-/// fleet merge: `key` is the originating plan-unit index, `seq` the global
-/// completion order (the tiebreak that keeps same-unit fragments — e.g. a
-/// salvaged split half and its re-homed sibling — in execution order).
+/// merge: `key` is the originating plan-unit index, `seq` the completion
+/// order (the tiebreak that keeps same-unit fragments — e.g. a salvaged
+/// split half and its re-homed sibling — in execution order). Its pairs
+/// stay where the shard (or CPU segment) produced them: `span` indexes the
+/// `src`-th stored output, so re-keying never copies a pair.
 struct DoneItem {
     key: usize,
     seq: usize,
@@ -2498,15 +2280,221 @@ struct DoneItem {
     /// for fragments salvaged from an interrupted shard and for CPU
     /// segments — those are checkpointed output only.
     work: Option<WorkItem>,
-    pairs: Vec<(u32, u32)>,
+    src: usize,
+    span: std::ops::Range<usize>,
     batches: Vec<BatchReport>,
 }
 
+impl DoneItem {
+    /// A CPU-computed segment for plan unit `key`, its pairs stored as a
+    /// new output.
+    fn cpu(
+        key: usize,
+        seq: &mut usize,
+        store: &mut Vec<ResultSet>,
+        pairs: Vec<(u32, u32)>,
+    ) -> Self {
+        let item = DoneItem {
+            key,
+            seq: *seq,
+            work: None,
+            src: store.len(),
+            span: 0..pairs.len(),
+            batches: Vec::new(),
+        };
+        *seq += 1;
+        store.push(ResultSet::from_pairs(pairs));
+        item
+    }
+
+    fn pairs<'s>(&self, store: &'s [ResultSet]) -> &'s [(u32, u32)] {
+        &store[self.src].pairs()[self.span.clone()]
+    }
+}
+
+/// The canonical merge: every completed item in plan-unit order, `seq`
+/// breaking ties within a unit, concatenating pairs and batch reports and
+/// re-accumulating the warp totals in that order. When the items tile one
+/// stored output in order — a single device, a fleet of one, a hybrid run
+/// that kept every GPU unit — that output becomes the result as is.
+fn merge(
+    mut store: Vec<ResultSet>,
+    mut entries: Vec<DoneItem>,
+    warp_size: u32,
+) -> (ResultSet, Vec<BatchReport>, WarpExecution) {
+    entries.sort_by(|a, b| a.key.cmp(&b.key).then(a.seq.cmp(&b.seq)));
+    let mut at = 0usize;
+    let tiles_one = store.len() == 1
+        && entries.iter().all(|e| {
+            let next = e.src == 0 && e.span.start == at;
+            at = e.span.end;
+            next
+        })
+        && at == store[0].len();
+    let result = if tiles_one {
+        store.pop().unwrap_or_default()
+    } else {
+        let total: usize = entries.iter().map(|e| e.span.len()).sum();
+        let mut result = ResultSet::from_pairs(Vec::with_capacity(total));
+        for e in &entries {
+            result.extend(e.pairs(&store));
+        }
+        result
+    };
+    let mut batches: Vec<BatchReport> = Vec::new();
+    let mut totals = WarpExecution {
+        warp_size,
+        ..WarpExecution::default()
+    };
+    for e in entries {
+        for batch in e.batches {
+            totals.accumulate(&batch.launch.totals);
+            batches.push(batch);
+        }
+    }
+    (result, batches, totals)
+}
+
+/// What a target's body hands to the shared merge and epilogue.
+struct Body {
+    done: Vec<DoneItem>,
+    recovery: RecoveryCounters,
+    gather_ns: u64,
+    fleet: Option<FleetReport>,
+    hybrid: Option<HybridReport>,
+    /// Target events recorded after the join summary.
+    trailer: Vec<Event>,
+}
+
+impl Body {
+    fn new(done: Vec<DoneItem>, exec: ShardExecution) -> Self {
+        Body {
+            done,
+            recovery: exec.recovery,
+            gather_ns: exec.gather_ns,
+            fleet: None,
+            hybrid: None,
+            trailer: Vec::new(),
+        }
+    }
+}
+
+/// The plan every target executes, with its per-batch launch parameters.
+struct PlannedRun {
+    plan: BatchPlan,
+    capacity: usize,
+    queue_limit: u64,
+}
+
+/// Cuts `items` workload-aware across `receivers` (in receiver order) and
+/// queues each slice as that device's next-round assignment.
+fn reassign(
+    items: &[WorkItem],
+    weights: &[u64],
+    receivers: &[usize],
+    round: u32,
+    states: &mut [DeviceState],
+    rec: &mut crate::fleet::FleetRecoveryReport,
+    assignment: &mut Vec<(usize, Vec<WorkItem>)>,
+) {
+    let cuts = partition_units(weights, receivers.len(), ShardStrategy::WorkloadAware);
+    for (slot, cut) in cuts.iter().enumerate() {
+        if cut.is_empty() {
+            continue;
+        }
+        let d = receivers[slot];
+        let moved = items[cut.clone()].to_vec();
+        states[d].reassigned_in += moved.len();
+        rec.health.push(crate::fleet::HealthEvent {
+            device: d as u64,
+            round,
+            state: crate::fleet::DeviceHealth::Reassigned,
+            units: moved.len(),
+        });
+        assignment.push((d, moved));
+    }
+}
+
+/// A straggler's cancelled tail, ready to re-home.
+struct Straggler {
+    worst: usize,
+    items: Vec<WorkItem>,
+    response_s: f64,
+    median_s: f64,
+    receivers: Vec<usize>,
+}
+
+/// Finds the slowest shard whose response exceeds `threshold ×` the fleet
+/// median and strips the items that started (on its serial kernel
+/// timeline) at or past that cutoff, for the devices below the median to
+/// take over. `None` when no shard qualifies or nothing can move.
+fn strip_straggler(
+    states: &mut [DeviceState],
+    threshold: f64,
+    num_streams: usize,
+) -> Option<Straggler> {
+    let responses: Vec<f64> = states
+        .iter()
+        .map(|s| s.pipeline_and_response(num_streams).1)
+        .collect();
+    let active: Vec<usize> = (0..states.len()).filter(|&d| responses[d] > 0.0).collect();
+    if active.len() < 2 {
+        return None;
+    }
+    let mut sorted: Vec<f64> = active.iter().map(|&d| responses[d]).collect();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    let median = if sorted.len() % 2 == 1 {
+        sorted[mid]
+    } else {
+        0.5 * (sorted[mid - 1] + sorted[mid])
+    };
+    let worst = active[1..].iter().fold(active[0], |worst, &d| {
+        if responses[d] > responses[worst] {
+            d
+        } else {
+            worst
+        }
+    });
+    let cutoff = threshold * median;
+    if !(median > 0.0 && !states[worst].retired && responses[worst] > cutoff) {
+        return None;
+    }
+    let receivers: Vec<usize> = (0..states.len())
+        .filter(|&d| d != worst && !states[d].retired && responses[d] < median)
+        .collect();
+    if receivers.is_empty() {
+        return None;
+    }
+    let dev = &mut states[worst];
+    let mut starts: Vec<f64> = Vec::with_capacity(dev.done.len());
+    let mut t = 0.0f64;
+    for item in &dev.done {
+        starts.push(t);
+        t += item.batches.iter().map(|b| b.kernel_s).sum::<f64>();
+    }
+    let mut cut_idx = dev.done.len();
+    while cut_idx > 1 && dev.done[cut_idx - 1].work.is_some() && starts[cut_idx - 1] >= cutoff {
+        cut_idx -= 1;
+    }
+    // The cut loop only steps past items whose `work` is `Some`, so
+    // everything drained here is respawnable.
+    let items: Vec<WorkItem> = dev.done.drain(cut_idx..).filter_map(|di| di.work).collect();
+    (!items.is_empty()).then_some(Straggler {
+        worst,
+        items,
+        response_s: responses[worst],
+        median_s: median,
+        receivers,
+    })
+}
+
 /// Accumulated per-device state across recovery rounds.
+#[derive(Default)]
 struct DeviceState {
-    /// Cleared when the device latches a persistent failure; unusable
-    /// devices never receive re-sharded work.
-    usable: bool,
+    /// Set when the device latches a persistent failure; a retired device
+    /// never receives re-sharded work.
+    retired: bool,
     done: Vec<DoneItem>,
     recovery: RecoveryCounters,
     reassigned_in: usize,
@@ -2514,16 +2502,6 @@ struct DeviceState {
 }
 
 impl DeviceState {
-    fn new() -> Self {
-        DeviceState {
-            usable: true,
-            done: Vec::new(),
-            recovery: RecoveryCounters::default(),
-            reassigned_in: 0,
-            reassigned_out: 0,
-        }
-    }
-
     /// This device's pipeline schedule over everything it has executed so
     /// far, and its response time: pipeline makespan plus serially accrued
     /// recovery time (retry backoff, in-shard CPU fallback).

@@ -32,6 +32,14 @@ pub struct CpuFallbackStats {
     pub pairs: u64,
 }
 
+impl std::ops::AddAssign for CpuFallbackStats {
+    fn add_assign(&mut self, other: Self) {
+        self.queries += other.queries;
+        self.distance_calcs += other.distance_calcs;
+        self.pairs += other.pairs;
+    }
+}
+
 /// The modeled host CPU the executor degrades onto (defaults approximate
 /// the paper's 2× Xeon E5-2620 v4: 16 cores at 2.1 GHz, ~2 effective
 /// SIMD/ILP lanes — the same machine `bench::CpuModel` models for
@@ -186,8 +194,7 @@ pub fn cpu_join_queries<const N: usize>(
 /// Range-queries several query sets on the host, one result vector per set
 /// (in set order), returning the summed operation counts.
 ///
-/// The fleet's CPU last resort uses this to finish each unexecuted work
-/// item as its own pair segment, so the merged fleet result can interleave
+/// Each set keeps its own pair segment, so a caller can interleave
 /// CPU-completed units with GPU-completed units in original plan order.
 pub fn cpu_join_query_sets<const N: usize>(
     grid: &GridIndex<N>,
@@ -200,10 +207,7 @@ pub fn cpu_join_query_sets<const N: usize>(
     let mut stats = CpuFallbackStats::default();
     for &queries in sets {
         let mut out = Vec::new();
-        let s = cpu_join_queries(grid, points, resolved, epsilon, queries, &mut out);
-        stats.queries += s.queries;
-        stats.distance_calcs += s.distance_calcs;
-        stats.pairs += s.pairs;
+        stats += cpu_join_queries(grid, points, resolved, epsilon, queries, &mut out);
         out_per_set.push(out);
     }
     stats

@@ -371,16 +371,10 @@ pub struct HybridOutcome {
     pub hybrid: HybridReport,
 }
 
-/// Deterministic worker pool, re-exported from [`crate::pool`].
-///
-/// The PR-3 bench pool was first promoted here for the hybrid CPU backend;
-/// it now lives in [`crate::pool`], shared by every host-parallel layer
-/// (sweep cells, the CPU backend, fleet shards, within-device batches).
-pub use crate::pool::par_map;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::par_map;
 
     const GPU_RATE: f64 = 1e6;
     const CPU_RATE: f64 = 1e4;

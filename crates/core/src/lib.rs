@@ -59,7 +59,9 @@ pub use config::{
 pub use device_prepass::{
     device_cell_order, device_inclusive_prefix, device_sort_by_workload, PrePassReport,
 };
-pub use executor::{DegradationReport, JoinError, JoinOutcome, JoinReport, SelfJoin};
+pub use executor::{
+    DegradationReport, ExecTarget, Execution, JoinError, JoinOutcome, JoinReport, SelfJoin,
+};
 pub use fallback::{
     cpu_join_queries, cpu_join_query_sets, CpuBackendModel, CpuFallbackModel, CpuFallbackStats,
 };

@@ -15,10 +15,9 @@
 //!   with typed rejection ([`ServeError::QueueFull`]) instead of unbounded
 //!   buffering;
 //! - queued requests at the same ε are **coalesced** into one batched
-//!   launch through the existing executor paths ([`SelfJoin::run`],
-//!   [`SelfJoin::run_hybrid`]) and answered from the shared
-//!   [`ResultSet`]; repeated flushes in the same churn epoch answer from a
-//!   result cache without launching at all;
+//!   launch through [`SelfJoin::execute`] and answered from the shared
+//!   [`ResultSet`](crate::ResultSet); repeated flushes in the same churn
+//!   epoch answer from a result cache without launching at all;
 //! - every request is timed in **model seconds** on the session's service
 //!   clock (queue wait + execute), recorded as `serve.request` events and
 //!   rolled up into P50/P99 latencies in the [`ServeReport`].
@@ -38,9 +37,7 @@ use epsgrid::{ChurnError, DynamicGrid, GridBuildError, Point};
 use sj_telemetry::{json, Event, Telemetry};
 
 use crate::config::{validate_epsilon, EpsilonError, ExecMode, SelfJoinConfig};
-use crate::executor::{JoinError, SelfJoin};
-use crate::hybrid::HybridPolicy;
-use crate::result::ResultSet;
+use crate::executor::{ExecTarget, JoinError, SelfJoin};
 
 /// Default bound on the admission queue.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
@@ -61,6 +58,9 @@ pub struct ServeConfig {
     /// incremental patching and rebuilds (see
     /// [`epsgrid::DynamicGrid::with_rebuild_limit`]).
     pub rebuild_limit: f64,
+    /// Which substrate executes each launch (see [`ExecMode`]); a request's
+    /// latency is the launch's [`Execution::model_s`](crate::Execution::model_s).
+    pub exec_mode: ExecMode,
 }
 
 impl Default for ServeConfig {
@@ -69,6 +69,7 @@ impl Default for ServeConfig {
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             coalesce: true,
             rebuild_limit: epsgrid::dynamic::DEFAULT_REBUILD_LIMIT,
+            exec_mode: ExecMode::default(),
         }
     }
 }
@@ -119,7 +120,7 @@ impl ServeError {
             Self::QueueFull { .. } => "queue_full",
             Self::Epsilon(_) => "bad_epsilon",
             Self::UnknownPoint(_) => "unknown_point",
-            Self::Churn(ChurnError::NonFinitePoint) => "bad_point",
+            Self::Churn(ChurnError::NonFinitePoint | ChurnError::Unindexable(_)) => "bad_point",
             Self::Churn(ChurnError::UnknownPoint(_)) => "unknown_point",
             Self::Churn(ChurnError::WouldEmptyDataset) => "would_empty",
             Self::BadRequest(_) => "bad_request",
@@ -630,30 +631,14 @@ impl<'a, const N: usize> ServeSession<'a, N> {
         let points: Vec<Point<N>> = self.grid.points().to_vec();
         let mut config = self.base.clone();
         config.epsilon = epsilon;
-        let exec_mode = config.exec_mode;
         let join = if maintained {
             SelfJoin::with_maintained_index(&points, config, index, Some(&per_cell))?
         } else {
             SelfJoin::new(&points, config)?
         }
         .with_telemetry(self.telemetry);
-        let (result, execute_s): (ResultSet, f64) = match exec_mode {
-            ExecMode::Gpu => {
-                let outcome = join.run()?;
-                let s = outcome.report.response_time_s();
-                (outcome.result, s)
-            }
-            ExecMode::Cpu => {
-                let outcome = join.run_hybrid(&HybridPolicy::cpu_only())?;
-                let s = outcome.hybrid.makespan_s;
-                (outcome.result, s)
-            }
-            ExecMode::Hybrid => {
-                let outcome = join.run_hybrid(&HybridPolicy::default())?;
-                let s = outcome.hybrid.makespan_s;
-                (outcome.result, s)
-            }
-        };
+        let exec = join.execute(&ExecTarget::for_mode(self.cfg.exec_mode))?;
+        let (execute_s, result) = (exec.model_s(), exec.result);
         let n = points.len();
         let answer = CachedAnswer {
             eps_bits: epsilon.to_bits(),
@@ -858,7 +843,7 @@ impl Response {
             } => {
                 out.push_str(", \"op\": \"query\", \"ok\": true");
                 let _ = write!(out, ", \"point_id\": {point_id}");
-                json_f64(&mut out, "eps", f64::from(*epsilon));
+                number_member(&mut out, "eps", f64::from(*epsilon));
                 out.push_str(", \"neighbors\": [");
                 for (i, n) in neighbors.iter().enumerate() {
                     let _ = write!(out, "{}{n}", if i == 0 { "" } else { ", " });
@@ -879,9 +864,9 @@ impl Response {
                 cache_hit,
             } => {
                 out.push_str(", \"op\": \"join\", \"ok\": true");
-                json_f64(&mut out, "eps", f64::from(*epsilon));
+                number_member(&mut out, "eps", f64::from(*epsilon));
                 let _ = write!(out, ", \"pairs\": {pairs}");
-                json_f64(&mut out, "mean_neighbors", *mean_neighbors);
+                number_member(&mut out, "mean_neighbors", *mean_neighbors);
                 json_latency(&mut out, latency);
                 let _ = write!(
                     out,
@@ -942,20 +927,20 @@ impl Response {
                     r.full_rebuilds,
                     r.requantified_cells
                 );
-                json_f64(&mut out, "execute_model_s", r.execute_model_s);
-                json_f64(&mut out, "queue_p50_s", r.queue_p50_s);
-                json_f64(&mut out, "queue_p99_s", r.queue_p99_s);
-                json_f64(&mut out, "execute_p50_s", r.execute_p50_s);
-                json_f64(&mut out, "execute_p99_s", r.execute_p99_s);
-                json_f64(&mut out, "total_p50_s", r.total_p50_s);
-                json_f64(&mut out, "total_p99_s", r.total_p99_s);
+                number_member(&mut out, "execute_model_s", r.execute_model_s);
+                number_member(&mut out, "queue_p50_s", r.queue_p50_s);
+                number_member(&mut out, "queue_p99_s", r.queue_p99_s);
+                number_member(&mut out, "execute_p50_s", r.execute_p50_s);
+                number_member(&mut out, "execute_p99_s", r.execute_p99_s);
+                number_member(&mut out, "total_p50_s", r.total_p50_s);
+                number_member(&mut out, "total_p99_s", r.total_p99_s);
             }
             Reply::ShuttingDown => {
                 out.push_str(", \"op\": \"shutdown\", \"ok\": true");
             }
             Reply::Error { message, kind } => {
                 out.push_str(", \"ok\": false, \"error\": ");
-                json_string(&mut out, message);
+                json::write_str(&mut out, message);
                 let _ = write!(out, ", \"kind\": \"{kind}\"");
             }
         }
@@ -965,42 +950,22 @@ impl Response {
 }
 
 fn json_latency(out: &mut String, latency: &Latency) {
-    json_f64(out, "queue_s", latency.queue_s);
-    json_f64(out, "execute_s", latency.execute_s);
-    json_f64(out, "total_s", latency.total_s);
+    number_member(out, "queue_s", latency.queue_s);
+    number_member(out, "execute_s", latency.execute_s);
+    number_member(out, "total_s", latency.total_s);
 }
 
-fn json_f64(out: &mut String, key: &str, v: f64) {
+/// Writes one `, "key": <number or null>` member.
+fn number_member(out: &mut String, key: &str, v: f64) {
     let _ = write!(out, ", \"{key}\": ");
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    json::write_f64(out, v);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::brute::brute_force_join;
+    use crate::result::ResultSet;
 
     fn dataset() -> Vec<Point<2>> {
         let mut pts = Vec::new();

@@ -42,6 +42,10 @@ pub enum ChurnError {
     UnknownPoint(u32),
     /// Removing the last remaining point would leave nothing to index.
     WouldEmptyDataset,
+    /// The grid cannot index the point set the mutation would produce (a
+    /// point so far away that the cell count overflows); the mutation was
+    /// not applied.
+    Unindexable(GridBuildError),
 }
 
 impl std::fmt::Display for ChurnError {
@@ -54,6 +58,7 @@ impl std::fmt::Display for ChurnError {
             ChurnError::WouldEmptyDataset => {
                 write!(f, "removing the last point would empty the dataset")
             }
+            ChurnError::Unindexable(e) => write!(f, "the grid cannot index the point: {e}"),
         }
     }
 }
@@ -196,23 +201,29 @@ impl<const N: usize> DynamicGrid<N> {
     }
 
     /// Discards the incremental state and rebuilds index, bounds and
-    /// workload from the current point set.
-    pub fn force_rebuild(&mut self) {
-        self.index = GridIndex::build(&self.points, self.epsilon)
-            .expect("maintained point set is non-empty and finite");
-        self.bounds = Aabb::of_points(&self.points).expect("bounds exist for a maintained dataset");
-        self.workload = (0..self.index.num_cells())
-            .map(|ci| self.index.window_candidate_count(ci))
+    /// workload from the current point set. The new index is built before
+    /// anything is replaced, so on failure the grid is left as it was.
+    pub fn force_rebuild(&mut self) -> Result<(), ChurnError> {
+        let index =
+            GridIndex::build(&self.points, self.epsilon).map_err(ChurnError::Unindexable)?;
+        // `build` succeeded, so the set is non-empty and finite.
+        self.bounds = Aabb::of_points(&self.points).expect("bounds exist for an indexed dataset");
+        self.workload = (0..index.num_cells())
+            .map(|ci| index.window_candidate_count(ci))
             .collect();
+        self.index = index;
         self.dirty.clear();
         self.stats.full_rebuilds += 1;
+        Ok(())
     }
 
     /// Inserts a point, returning its id (`self.len() - 1` afterwards).
     ///
     /// Points inside the current bounding box are patched into the index in
     /// place; a point that would grow the box changes the grid geometry and
-    /// takes the full-rebuild path.
+    /// takes the full-rebuild path. A point the grid cannot index is
+    /// rejected with [`ChurnError::Unindexable`], leaving the point set,
+    /// index and stats unchanged.
     pub fn insert(&mut self, p: Point<N>) -> Result<u32, ChurnError> {
         if p.iter().any(|c| !c.is_finite()) {
             return Err(ChurnError::NonFinitePoint);
@@ -220,7 +231,10 @@ impl<const N: usize> DynamicGrid<N> {
         let pid = self.points.len() as u32;
         self.points.push(p);
         if !self.bounds.contains(&p) {
-            self.force_rebuild();
+            if let Err(e) = self.force_rebuild() {
+                self.points.pop();
+                return Err(e);
+            }
             return Ok(pid);
         }
 
@@ -300,7 +314,13 @@ impl<const N: usize> DynamicGrid<N> {
             (0..N).any(|d| removed[d] == self.bounds.min[d] || removed[d] == self.bounds.max[d]);
         self.points.swap_remove(i);
         if on_hull {
-            self.force_rebuild();
+            if let Err(e) = self.force_rebuild() {
+                // Undo the swap-remove: the grid still indexes the old set.
+                self.points.push(removed);
+                let end = self.points.len() - 1;
+                self.points.swap(i, end);
+                return Err(e);
+            }
             return Ok(renamed);
         }
 
@@ -359,8 +379,10 @@ impl<const N: usize> DynamicGrid<N> {
 
     fn rebuild_if_too_dirty(&mut self) {
         let limit = self.rebuild_limit * self.index.num_cells() as f64;
+        // The incrementally patched index is already exact, so if the
+        // rebuild cannot index the set it simply keeps serving.
         if self.dirty.len() as f64 > limit {
-            self.force_rebuild();
+            self.force_rebuild().ok();
         }
     }
 
@@ -492,6 +514,20 @@ mod tests {
         assert_eq!(dg.remove(7), Err(ChurnError::UnknownPoint(7)));
         assert_eq!(dg.remove(0), Err(ChurnError::WouldEmptyDataset));
         assert_eq!(dg.len(), 1);
+    }
+
+    #[test]
+    fn unindexable_insert_leaves_the_grid_unchanged() {
+        let mut dg = DynamicGrid::new(seed_points(), 0.1).unwrap();
+        let before = dg.clone();
+        let err = dg.insert([1e30, 1e30]).unwrap_err();
+        assert!(matches!(err, ChurnError::Unindexable(_)), "{err:?}");
+        assert_eq!(dg.points(), before.points());
+        assert_eq!(dg.index(), before.index());
+        assert_eq!(dg.stats(), before.stats());
+        dg.insert([0.5, 0.5]).unwrap();
+        assert_matches_fresh(&mut dg);
+        assert_exact_pairs(&dg);
     }
 
     #[test]

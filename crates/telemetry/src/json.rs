@@ -5,7 +5,18 @@
 //! commas, no unquoted keys. This module is the consuming side of that
 //! promise: a dependency-free recursive-descent parser that either yields a
 //! [`JsonValue`] tree or a positioned error. It accepts exactly the grammar
-//! the integration suite's validator accepts.
+//! the integration suite's validator accepts, nested at most [`MAX_DEPTH`]
+//! arrays and objects deep.
+//!
+//! The producing side lives here too: [`write_str`] and [`write_f64`] are
+//! the one string-escaping and finite-or-`null` float rule behind every
+//! JSON document the workspace writes.
+
+use std::fmt::Write as _;
+
+/// How deeply arrays and objects may nest. Deeper input is rejected with
+/// an error instead of recursing without bound.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,6 +94,7 @@ pub fn parse(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -93,9 +105,41 @@ pub fn parse(text: &str) -> Result<JsonValue, String> {
     Ok(v)
 }
 
+/// Writes `s` as a JSON string literal: quotes, backslashes and control
+/// characters escaped.
+pub fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Writes `v` as a JSON number, or `null` when it is NaN or infinite (JSON
+/// has no literal for those).
+pub fn write_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let _ = write!(out, "{v}");
+    } else {
+        out.push_str("null");
+    }
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -131,8 +175,11 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(self.fail(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal(b"true", JsonValue::Bool(true)),
             Some(b'f') => self.literal(b"false", JsonValue::Bool(false)),
@@ -140,6 +187,16 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.fail("expected a JSON value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, lit: &[u8], v: JsonValue) -> Result<JsonValue, String> {
@@ -356,6 +413,30 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "parser accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        assert!(parse(&"[".repeat(50_000)).is_err());
+        assert!(parse(&"{\"a\": ".repeat(50_000)).is_err());
+    }
+
+    #[test]
+    fn writer_escapes_and_nulls_non_finite_floats() {
+        let mut out = String::new();
+        write_str(&mut out, "a\"b\\c\n\u{1}");
+        out.push(' ');
+        write_f64(&mut out, 0.25);
+        out.push(' ');
+        write_f64(&mut out, f64::NAN);
+        assert_eq!(out, r#""a\"b\\c\n\u0001" 0.25 null"#);
+        let mut s = String::new();
+        write_str(&mut s, "x\ty\u{1f}é");
+        assert_eq!(parse(&s).unwrap().as_str(), Some("x\ty\u{1f}é"));
     }
 
     #[test]

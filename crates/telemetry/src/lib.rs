@@ -176,9 +176,9 @@ impl JsonTelemetry {
         let events = self.events.lock().expect("telemetry poisoned");
         let mut out = String::with_capacity(256 + events.len() * 128);
         out.push_str("{\n  \"schema\": ");
-        json_string(&mut out, SCHEMA_VERSION);
+        json::write_str(&mut out, SCHEMA_VERSION);
         out.push_str(",\n  \"label\": ");
-        json_string(&mut out, &self.label);
+        json::write_str(&mut out, &self.label);
         out.push_str(",\n  \"events\": [");
         for (i, event) in events.iter().enumerate() {
             out.push_str(if i == 0 { "\n    " } else { ",\n    " });
@@ -209,15 +209,15 @@ impl Telemetry for JsonTelemetry {
 
 fn write_event(out: &mut String, event: &Event) {
     out.push_str("{\"scope\": ");
-    json_string(out, event.scope);
+    json::write_str(out, event.scope);
     out.push_str(", \"name\": ");
-    json_string(out, event.name);
+    json::write_str(out, event.name);
     out.push_str(", \"fields\": {");
     for (i, (key, value)) in event.fields.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        json_string(out, key);
+        json::write_str(out, key);
         out.push_str(": ");
         write_value(out, value);
     }
@@ -232,32 +232,10 @@ fn write_value(out: &mut String, value: &Value) {
         Value::I64(v) => {
             let _ = write!(out, "{v}");
         }
-        Value::F64(v) if v.is_finite() => {
-            let _ = write!(out, "{v}");
-        }
-        // JSON has no NaN/Infinity literal.
-        Value::F64(_) => out.push_str("null"),
+        Value::F64(v) => json::write_f64(out, *v),
         Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-        Value::Str(s) => json_string(out, s),
+        Value::Str(s) => json::write_str(out, s),
     }
-}
-
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Host wall-clock stopwatch for phase timers.

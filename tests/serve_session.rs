@@ -7,7 +7,9 @@
 //! `shutdown` all execute the queued queries first, so every queued query
 //! is answered against the dataset exactly as it stood at admission.
 
-use simjoin::{Reply, Request, SelfJoinConfig, ServeConfig, ServeSession};
+use simjoin::{
+    Latency, Reply, Request, Response, SelfJoinConfig, ServeConfig, ServeReport, ServeSession,
+};
 use sj_telemetry::json::{self, JsonValue};
 use sj_telemetry::JsonTelemetry;
 use sjdata::DatasetSpec;
@@ -273,4 +275,139 @@ fn foreign_epsilon_queries_stay_exact_after_churn() {
         })
         .expect("the flush answers the queued query");
     assert_eq!(neighbors, oracle_neighbors(&mirror, 5, foreign));
+}
+
+/// Lines that used to kill the daemon — an insert too far away for the
+/// grid to index, and a request nested 50,000 arrays deep — each get one
+/// typed error reply, leave the dataset untouched, and the next request is
+/// still answered exactly.
+#[test]
+fn far_away_insert_and_deep_nesting_get_typed_errors() {
+    let (pts, eps) = serve_dataset();
+    let mut session = ServeSession::new(
+        pts.clone(),
+        SelfJoinConfig::new(eps),
+        ServeConfig::default(),
+    )
+    .unwrap();
+    let deep = "[".repeat(50_000);
+    let crashers = [
+        ("{\"op\": \"insert\", \"point\": [1e30, 1e30]}", "bad_point"),
+        (deep.as_str(), "bad_request"),
+    ];
+    for (line, kind) in crashers {
+        let out = session.handle_line(line);
+        assert_eq!(out.len(), 1, "one reply per line: {out:?}");
+        let doc = json::parse(&out[0]).unwrap();
+        assert_eq!(doc.get("ok").and_then(JsonValue::as_bool), Some(false));
+        assert_eq!(doc.get("kind").and_then(JsonValue::as_str), Some(kind));
+
+        let query = format!("{{\"op\": \"query\", \"point_id\": 5, \"eps\": {eps}}}");
+        assert!(session.handle_line(&query).is_empty());
+        let answered = session.handle_line("{\"op\": \"flush\"}");
+        let doc = json::parse(&answered[0]).unwrap();
+        let neighbors: Vec<u32> = doc
+            .get("neighbors")
+            .and_then(JsonValue::as_array)
+            .expect("the flush answers the queued query")
+            .iter()
+            .map(|v| v.as_u64().unwrap() as u32)
+            .collect();
+        assert_eq!(neighbors, oracle_neighbors(&pts, 5, eps));
+    }
+    assert_eq!(session.num_points(), pts.len());
+    let report = session.report();
+    assert_eq!(
+        (report.errors, report.inserts, report.full_rebuilds),
+        (2, 0, 0)
+    );
+}
+
+/// The wire bytes of every reply kind, pinned: escaping, the f32 → f64
+/// widening of ε, and `null` for a non-finite float.
+#[test]
+fn every_reply_kind_serializes_to_pinned_bytes() {
+    let latency = Latency {
+        queue_s: 0.5,
+        execute_s: 1.25e-6,
+        total_s: f64::NAN,
+    };
+    let line = |reply: Reply| Response { id: 7, reply }.to_json_line();
+    let cases = [
+        (
+            Reply::Neighbors {
+                point_id: 3,
+                epsilon: 0.25,
+                neighbors: vec![1, 9],
+                latency,
+                coalesced: 2,
+                cache_hit: false,
+            },
+            r#"{"id": 7, "op": "query", "ok": true, "point_id": 3, "eps": 0.25, "neighbors": [1, 9], "queue_s": 0.5, "execute_s": 0.00000125, "total_s": null, "coalesced": 2, "cache_hit": false}"#,
+        ),
+        (
+            Reply::JoinSummary {
+                epsilon: 0.1,
+                pairs: 40,
+                mean_neighbors: 2.5,
+                latency,
+                coalesced: 1,
+                cache_hit: true,
+            },
+            r#"{"id": 7, "op": "join", "ok": true, "eps": 0.10000000149011612, "pairs": 40, "mean_neighbors": 2.5, "queue_s": 0.5, "execute_s": 0.00000125, "total_s": null, "coalesced": 1, "cache_hit": true}"#,
+        ),
+        (
+            Reply::Inserted {
+                point_id: 12,
+                reindex: "incremental",
+            },
+            r#"{"id": 7, "op": "insert", "ok": true, "point_id": 12, "reindex": "incremental"}"#,
+        ),
+        (
+            Reply::Removed {
+                point_id: 4,
+                moved_id: Some(11),
+                reindex: "rebuild",
+            },
+            r#"{"id": 7, "op": "remove", "ok": true, "point_id": 4, "moved_id": 11, "reindex": "rebuild"}"#,
+        ),
+        (
+            Reply::Removed {
+                point_id: 4,
+                moved_id: None,
+                reindex: "incremental",
+            },
+            r#"{"id": 7, "op": "remove", "ok": true, "point_id": 4, "moved_id": null, "reindex": "incremental"}"#,
+        ),
+        (
+            Reply::Flushed { executed: 3 },
+            r#"{"id": 7, "op": "flush", "ok": true, "executed": 3}"#,
+        ),
+        (
+            Reply::Stats(ServeReport {
+                requests: 5,
+                launches: 2,
+                execute_model_s: 0.125,
+                total_p99_s: f64::INFINITY,
+                ..ServeReport::default()
+            }),
+            r#"{"id": 7, "op": "stats", "ok": true, "requests": 5, "queries": 0, "joins": 0, "inserts": 0, "removes": 0, "rejected": 0, "errors": 0, "launches": 2, "coalesced_requests": 0, "cache_hits": 0, "incremental_reindexes": 0, "full_rebuilds": 0, "requantified_cells": 0, "execute_model_s": 0.125, "queue_p50_s": 0, "queue_p99_s": 0, "execute_p50_s": 0, "execute_p99_s": 0, "total_p50_s": 0, "total_p99_s": null}"#,
+        ),
+        (
+            Reply::ShuttingDown,
+            r#"{"id": 7, "op": "shutdown", "ok": true}"#,
+        ),
+        (
+            Reply::Error {
+                message: "bad \"x\"\\\n\t\u{1}é".into(),
+                kind: "bad_request",
+            },
+            r#"{"id": 7, "ok": false, "error": "bad \"x\"\\\n\t\u0001é", "kind": "bad_request"}"#,
+        ),
+    ];
+    for (reply, expected) in cases {
+        let got = line(reply);
+        assert_eq!(got, expected);
+        json::parse(&got).unwrap();
+    }
 }
