@@ -381,7 +381,7 @@ trait JoinRunner {
     ) -> RunResult;
     fn superego_pairs(&self, eps: f32) -> Vec<(u32, u32)>;
     fn stats(&self, eps: f32) -> Result<(f64, usize, f64), String>;
-    /// Runs the serve request loop: feed `lines` through a
+    /// Runs the serve request loop: feed the lines of `input` through a
     /// [`simjoin::ServeSession`], writing each response line to `out`.
     /// EOF without an explicit shutdown injects one, so the queue always
     /// drains and every admitted request is answered.
@@ -389,7 +389,7 @@ trait JoinRunner {
         &self,
         config: SelfJoinConfig,
         serve_cfg: simjoin::ServeConfig,
-        lines: &mut dyn Iterator<Item = std::io::Result<String>>,
+        input: &mut dyn std::io::BufRead,
         out: &mut dyn std::io::Write,
         telemetry: &dyn Telemetry,
     ) -> Result<simjoin::ServeReport, String>;
@@ -439,7 +439,7 @@ impl<const N: usize> JoinRunner for FixedRunner<N> {
     fn stats(&self, eps: f32) -> Result<(f64, usize, f64), String> {
         let join =
             SelfJoin::new(&self.points, SelfJoinConfig::new(eps)).map_err(|e| e.to_string())?;
-        let profile = simjoin::WorkloadProfile::compute(join.grid());
+        let profile = join.workload();
         let per_point = profile.per_point();
         let mean = per_point.iter().sum::<u64>() as f64 / per_point.len() as f64;
         let var = per_point
@@ -458,7 +458,7 @@ impl<const N: usize> JoinRunner for FixedRunner<N> {
         &self,
         config: SelfJoinConfig,
         serve_cfg: simjoin::ServeConfig,
-        lines: &mut dyn Iterator<Item = std::io::Result<String>>,
+        input: &mut dyn std::io::BufRead,
         out: &mut dyn std::io::Write,
         telemetry: &dyn Telemetry,
     ) -> Result<simjoin::ServeReport, String> {
@@ -471,9 +471,12 @@ impl<const N: usize> JoinRunner for FixedRunner<N> {
             }
             out.flush().map_err(|e| e.to_string())
         };
-        for line in lines {
-            let line = line.map_err(|e| format!("reading requests: {e}"))?;
-            emit(session.handle_line(&line), out)?;
+        for line in simjoin::RequestLines::new(input) {
+            let replies = match line.map_err(|e| format!("reading requests: {e}"))? {
+                Ok(line) => session.handle_line(&line),
+                Err(msg) => session.reject_line(msg),
+            };
+            emit(replies, out)?;
             if session.is_shut_down() {
                 break;
             }
@@ -1077,9 +1080,7 @@ fn serve(parsed: &Parsed) -> Result<(), String> {
         exec_mode.label(),
         serve_cfg.coalesce
     ));
-    type Lines<'t> = Box<dyn Iterator<Item = std::io::Result<String>> + 't>;
-    let script;
-    let (mut lines, mut out): (Lines, Box<dyn std::io::Write>) =
+    let (mut input, mut out): (Box<dyn std::io::BufRead>, Box<dyn std::io::Write>) =
         if let Some(addr) = parsed.optional("listen") {
             // One connection at a time: the session is a state machine over
             // one dataset, so interleaving clients would interleave their
@@ -1091,17 +1092,21 @@ fn serve(parsed: &Parsed) -> Result<(), String> {
             eprintln!("serve: client {peer} connected");
             let reader = std::io::BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
             let writer = std::io::BufWriter::new(stream);
-            (Box::new(std::io::BufRead::lines(reader)), Box::new(writer))
+            (Box::new(reader), Box::new(writer))
         } else if let Some(path) = parsed.optional("script") {
-            script = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            let lines = script.lines().map(|l| Ok(l.to_string()));
-            (Box::new(lines), Box::new(std::io::stdout()))
+            let script = std::fs::File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
+            (
+                Box::new(std::io::BufReader::new(script)),
+                Box::new(std::io::stdout()),
+            )
         } else {
-            let lines = std::io::BufRead::lines(std::io::stdin().lock());
-            (Box::new(lines), Box::new(std::io::stdout()))
+            (
+                Box::new(std::io::stdin().lock()),
+                Box::new(std::io::stdout()),
+            )
         };
     let report = with_fixed(&points, |runner| {
-        runner.serve(config.clone(), serve_cfg, &mut lines, &mut out, &sink)
+        runner.serve(config.clone(), serve_cfg, &mut input, &mut out, &sink)
     })?;
 
     eprintln!(
@@ -1679,6 +1684,40 @@ mod tests {
         ] {
             assert!(dispatch(&argv(&bad)).is_err(), "{bad:?} should fail");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn serve_script_with_a_non_utf8_line_keeps_serving() {
+        let dir = std::env::temp_dir().join(format!("simjoin-serve-bytes-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let data = dir.join("pts.csv");
+        let data_s = data.to_str().unwrap().to_string();
+        std::fs::write(&data, "0.1,0.1\n0.2,0.1\n0.9,0.9\n").unwrap();
+        let script = dir.join("session.jsonl");
+        let script_s = script.to_str().unwrap().to_string();
+        let mut bytes = b"{\"op\": \"query\", \"point_id\": 0, \"eps\": 0.5}\n".to_vec();
+        bytes.extend_from_slice(b"\xff\xfe garbage\n");
+        bytes.extend_from_slice(b"{\"op\": \"query\", \"point_id\": 1, \"eps\": 0.5}\n");
+        std::fs::write(&script, bytes).unwrap();
+        let telemetry = dir.join("serve.json");
+        let telemetry_s = telemetry.to_str().unwrap().to_string();
+        dispatch(&argv(&[
+            "serve",
+            "--input",
+            &data_s,
+            "--eps",
+            "0.5",
+            "--script",
+            &script_s,
+            "--output",
+            &telemetry_s,
+        ]))
+        .unwrap();
+        // The bad line was rejected and both queries were answered.
+        let doc = std::fs::read_to_string(&telemetry).unwrap();
+        assert_eq!(doc.matches("\"kind\": \"bad_request\"").count(), 1, "{doc}");
+        assert_eq!(doc.matches("\"op\": \"query\", \"id\"").count(), 2, "{doc}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

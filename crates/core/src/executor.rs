@@ -1,5 +1,6 @@
 //! Host-side orchestration: index → estimate → batch plan → kernels → result.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 use epsgrid::{GridBuildError, GridIndex, Point};
@@ -375,7 +376,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
                 // computing from scratch if it does not line up with the grid.
                 per_cell_workload
                     .and_then(|pc| WorkloadProfile::from_per_cell(&grid, pc))
-                    .or_else(|| Some(WorkloadProfile::compute(&grid)))
+                    .or_else(|| Some(WorkloadProfile::from_resolved(&grid, &resolved)))
             }
         };
         let profile_ns = sw_profile.elapsed_ns();
@@ -425,16 +426,20 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         self.profile.as_ref()
     }
 
+    /// The workload profile: the balancing profile when the strategy
+    /// required one, otherwise derived from the resolved probe table (no
+    /// window is walked again).
+    pub fn workload(&self) -> Cow<'_, WorkloadProfile> {
+        match self.profile.as_ref() {
+            Some(profile) => Cow::Borrowed(profile),
+            None => Cow::Owned(WorkloadProfile::from_resolved(&self.grid, &self.resolved)),
+        }
+    }
+
     /// Mean candidate count per query point (the average refine-step
     /// workload).
     pub fn mean_candidates(&self) -> f64 {
-        let total: u128 = (0..self.grid.num_cells())
-            .map(|ci| {
-                self.grid.window_candidate_count(ci) as u128
-                    * self.grid.cell_points(ci).len() as u128
-            })
-            .sum();
-        total as f64 / self.grid.num_points() as f64
+        self.workload().total() as f64 / self.grid.num_points() as f64
     }
 
     /// Recommends a thread granularity `k` from the dataset's workload.
@@ -516,16 +521,10 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
             Balancing::WorkQueue => {
                 // Construction always attaches a profile for WorkQueue, but a
                 // missing one (a constructor slip at a request boundary)
-                // degrades to an on-the-spot quantification instead of
-                // panicking mid-request.
-                let computed;
-                let profile = match self.profile.as_ref() {
-                    Some(p) => p,
-                    None => {
-                        computed = WorkloadProfile::compute(&self.grid);
-                        &computed
-                    }
-                };
+                // degrades to one derived on the spot instead of panicking
+                // mid-request.
+                let workload = self.workload();
+                let profile = workload.as_ref();
                 let order = prepass
                     .as_mut()
                     .and_then(|pp| pp.cell_order(profile.per_cell(), "workqueue_order"))
@@ -725,18 +724,6 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         Ok((items, exec))
     }
 
-    /// Quantified per-point workload for cutting the plan: the balancing
-    /// profile when one exists, otherwise profiled here. Host-side only —
-    /// it cannot change kernel behaviour or model times.
-    fn per_point_workload(&self) -> std::borrow::Cow<'_, [u64]> {
-        match self.profile.as_ref() {
-            Some(profile) => std::borrow::Cow::Borrowed(profile.per_point()),
-            None => {
-                std::borrow::Cow::Owned(WorkloadProfile::compute(&self.grid).per_point().to_vec())
-            }
-        }
-    }
-
     /// The fleet body: cut the plan into one region per device, execute
     /// the regions concurrently, then re-shard whatever persistently failed
     /// devices left behind onto survivors and move straggler tails, round
@@ -751,8 +738,9 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         let c = &self.config;
         let telemetry_on = self.telemetry.is_enabled();
         let plan = &run.plan;
-        let per_point = self.per_point_workload();
-        let weights = unit_workloads(plan, &per_point);
+        let workload = self.workload();
+        let per_point = workload.per_point();
+        let weights = unit_workloads(plan, per_point);
         let regions = self.partition_for_fleet(&weights, fleet.len(), strategy);
         let defer = c.recovery.reshard_enabled();
         // Quantified workload of a re-shardable work item: planned units
@@ -1122,7 +1110,7 @@ impl<'a, const N: usize> SelfJoin<'a, N> {
         let telemetry_on = self.telemetry.is_enabled();
         let plan = &run.plan;
         let n = plan.num_batches();
-        let weights = unit_workloads(plan, &self.per_point_workload());
+        let weights = unit_workloads(plan, self.workload().per_point());
         let gpu_rate = gpu_weight_throughput(&c.gpu, N as u32);
         let cpu_rate = policy.cpu.weight_throughput(N as u32, &c.gpu.cost);
         let dispatch_s = policy.cpu.dispatch_overhead_s;

@@ -160,9 +160,8 @@ pub fn cpu_join_queries<const N: usize>(
     for &query in queries {
         let home = grid.home_cell_of(query as usize);
         let q = &points[query as usize];
-        for probe in &resolved.per_cell[home] {
-            let Some(cell) = probe.found else { continue };
-            let cell_points = grid.cell_points(cell as usize);
+        for probe in resolved.found_probes(home) {
+            let cell_points = grid.cell_points(probe.cell as usize);
             let base_lo = match probe.relation {
                 ProbeRelation::OwnCellForward => {
                     (resolved.pos_in_cell[query as usize] + 1) as usize

@@ -15,29 +15,45 @@
 //!
 //! Which cells are probed comes from the configured
 //! [`crate::patterns`] access pattern, resolved once per join into a
-//! [`ResolvedPatterns`] table shared by all batches.
+//! [`ResolvedPatterns`] table shared by all batches. The table keeps only
+//! the probes that find a cell; a lane replays each run of misses as that
+//! many lookup ops, so its op stream is the full window walk's.
 
 use epsgrid::{euclidean_dist_sq, GridIndex, Point};
 use warpsim::{CostModel, DeviceCounter, LaneProgram, LaneSink, Op, RunClaim, WarpSource};
 
 use crate::config::AccessPattern;
-use crate::patterns::{probes_for, ProbeRelation};
+use crate::patterns::{for_each_probe, ProbeRelation};
 
-/// A probe with its index lookup pre-resolved: `found` is the index of the
-/// probed cell in the grid's non-empty cell list, if it exists.
+/// A probe whose cell exists, with the lookups that missed just before it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResolvedProbe {
-    /// Index of the probed cell, or `None` if the probe misses.
-    pub found: Option<u32>,
+pub struct FoundProbe {
+    /// Index of the probed cell in the grid's non-empty cell list.
+    pub cell: u32,
+    /// Probes of absent cells between the previous found probe (or the
+    /// window start) and this one; each still costs the kernel a lookup.
+    pub misses_before: u32,
     /// Relation of the probed cell's points to the query point.
     pub relation: ProbeRelation,
 }
 
+/// Cell index of the end marker that closes each cell's run of entries.
+const END: u32 = u32::MAX;
+
 /// Pattern probes resolved against the index, shared across batches.
+///
+/// Only probes that hit a cell are stored, in one flat array with a range
+/// per cell (CSR layout); misses survive as counts, so the kernel replays
+/// the same lookup sequence without the table holding every `3^n` window
+/// slot. Each cell's run ends with a marker entry carrying the misses after
+/// its last found probe, so a lane walks its run with one index.
 #[derive(Debug, Clone)]
 pub struct ResolvedPatterns {
-    /// For each non-empty cell, its probe list.
-    pub per_cell: Vec<Vec<ResolvedProbe>>,
+    /// Cell by cell: the found probes in window order, then the end marker
+    /// (`cell == END`, `misses_before` = the trailing misses).
+    entries: Vec<FoundProbe>,
+    /// `entries[starts[c]..starts[c + 1]]` is cell `c`'s run, marker last.
+    starts: Vec<usize>,
     /// For each dataset point, its position within its home cell's point
     /// list (used by [`ProbeRelation::OwnCellForward`]).
     pub pos_in_cell: Vec<u32>,
@@ -46,17 +62,35 @@ pub struct ResolvedPatterns {
 impl ResolvedPatterns {
     /// Resolves `pattern` against `grid` for every non-empty cell.
     pub fn compute<const N: usize>(grid: &GridIndex<N>, pattern: AccessPattern) -> Self {
-        let per_cell = (0..grid.num_cells())
-            .map(|ci| {
-                probes_for(pattern, grid, ci)
-                    .into_iter()
-                    .map(|p| ResolvedProbe {
-                        found: grid.find_cell(p.linear_id).map(|i| i as u32),
-                        relation: p.relation,
-                    })
-                    .collect()
-            })
-            .collect();
+        let mut entries = Vec::new();
+        let mut starts = Vec::with_capacity(grid.num_cells() + 1);
+        starts.push(0);
+        for ci in 0..grid.num_cells() {
+            // Probes come in ascending linear id, so each lookup resumes
+            // from the previous one's position in the sorted cell list.
+            let mut cursor = 0;
+            let mut misses = 0u32;
+            for_each_probe(pattern, grid, ci, |p| {
+                match grid.seek_cell(p.linear_id, &mut cursor) {
+                    Some(cell) => {
+                        entries.push(FoundProbe {
+                            cell: cell as u32,
+                            misses_before: misses,
+                            relation: p.relation,
+                        });
+                        misses = 0;
+                    }
+                    None => misses += 1,
+                }
+            });
+            // The marker's relation is never read.
+            entries.push(FoundProbe {
+                cell: END,
+                misses_before: misses,
+                relation: ProbeRelation::AllBidirectional,
+            });
+            starts.push(entries.len());
+        }
         let mut pos_in_cell = vec![0u32; grid.num_points()];
         for ci in 0..grid.num_cells() {
             for (pos, &pid) in grid.cell_points(ci).iter().enumerate() {
@@ -64,9 +98,41 @@ impl ResolvedPatterns {
             }
         }
         Self {
-            per_cell,
+            entries,
+            starts,
             pos_in_cell,
         }
+    }
+
+    /// Number of non-empty cells the table covers.
+    pub fn num_cells(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The found probes of non-empty cell `cell`, in window order.
+    pub fn found_probes(&self, cell: usize) -> &[FoundProbe] {
+        &self.entries[self.starts[cell]..self.starts[cell + 1] - 1]
+    }
+
+    /// Probes of absent cells after `cell`'s last found probe.
+    pub fn trailing_misses(&self, cell: usize) -> u32 {
+        self.entries[self.starts[cell + 1] - 1].misses_before
+    }
+
+    /// Index of `cell`'s first entry, where a lane's walk starts.
+    fn run_start(&self, cell: usize) -> usize {
+        self.starts[cell]
+    }
+
+    /// Entry `i` of a walk: its found probe, or `None` at the end marker.
+    fn probe_at(&self, i: usize) -> Option<&FoundProbe> {
+        let entry = &self.entries[i];
+        (entry.cell != END).then_some(entry)
+    }
+
+    /// The misses a walk issues before entry `i`.
+    fn misses_at(&self, i: usize) -> u32 {
+        self.entries[i].misses_before
     }
 }
 
@@ -100,7 +166,6 @@ pub struct RangeQueryLane<'a, const N: usize> {
     points: &'a [Point<N>],
     resolved: &'a ResolvedPatterns,
     query: u32,
-    home_cell: u32,
     rank: u32,
     k: u32,
     eps_sq: f32,
@@ -110,7 +175,10 @@ pub struct RangeQueryLane<'a, const N: usize> {
     emit_op: Op,
     prologue: [Option<Op>; 2],
     phase: LanePhase,
-    probe_i: u32,
+    /// Index of the next entry of the home cell's run in the table.
+    next: usize,
+    /// Miss lookups still to issue before entry `next`.
+    misses_left: u32,
     cur_cell: u32,
     cur_rel: ProbeRelation,
     pos: u32,
@@ -133,12 +201,12 @@ impl<'a, const N: usize> RangeQueryLane<'a, N> {
         prologue: [Option<Op>; 2],
     ) -> Self {
         debug_assert!(rank < k);
+        let next = resolved.run_start(grid.home_cell_of(query as usize));
         Self {
             grid,
             points,
             resolved,
             query,
-            home_cell: grid.home_cell_of(query as usize) as u32,
             rank,
             k,
             eps_sq: epsilon * epsilon,
@@ -148,7 +216,8 @@ impl<'a, const N: usize> RangeQueryLane<'a, N> {
             emit_op: cost.emit_op(),
             prologue,
             phase: LanePhase::Prologue(0),
-            probe_i: 0,
+            next,
+            misses_left: resolved.misses_at(next),
             cur_cell: 0,
             cur_rel: ProbeRelation::AllBidirectional,
             pos: 0,
@@ -213,28 +282,30 @@ impl<const N: usize> LaneProgram for RangeQueryLane<'_, N> {
                     return Some(self.setup_op);
                 }
                 LanePhase::NextProbe => {
-                    let probes = &self.resolved.per_cell[self.home_cell as usize];
-                    let Some(probe) = probes.get(self.probe_i as usize) else {
+                    if self.misses_left > 0 {
+                        // A missing cell still costs its binary search.
+                        self.misses_left -= 1;
+                        return Some(self.lookup_op);
+                    }
+                    let Some(&probe) = self.resolved.probe_at(self.next) else {
                         self.phase = LanePhase::Done;
                         return None;
                     };
-                    self.probe_i += 1;
-                    if let Some(cell) = probe.found {
-                        let len = self.grid.cell_points(cell as usize).len() as u32;
-                        let base_lo = match probe.relation {
-                            ProbeRelation::OwnCellForward => {
-                                self.resolved.pos_in_cell[self.query as usize] + 1
-                            }
-                            _ => 0,
-                        };
-                        let (lo, hi) = self.rank_slice(base_lo.min(len), len);
-                        self.cur_cell = cell;
-                        self.cur_rel = probe.relation;
-                        self.pos = lo;
-                        self.hi = hi;
-                        self.phase = LanePhase::Scan;
-                    }
-                    // A missing cell still costs its binary search.
+                    self.next += 1;
+                    self.misses_left = self.resolved.misses_at(self.next);
+                    let len = self.grid.cell_points(probe.cell as usize).len() as u32;
+                    let base_lo = match probe.relation {
+                        ProbeRelation::OwnCellForward => {
+                            self.resolved.pos_in_cell[self.query as usize] + 1
+                        }
+                        _ => 0,
+                    };
+                    let (lo, hi) = self.rank_slice(base_lo.min(len), len);
+                    self.cur_cell = probe.cell;
+                    self.cur_rel = probe.relation;
+                    self.pos = lo;
+                    self.hi = hi;
+                    self.phase = LanePhase::Scan;
                     return Some(self.lookup_op);
                 }
                 LanePhase::Scan => {

@@ -76,6 +76,7 @@ pub use hybrid::{
 };
 pub use result::ResultSet;
 pub use serve::{
-    Latency, Reply, Request, Response, ServeConfig, ServeError, ServeReport, ServeSession,
+    Latency, Reply, Request, RequestLines, Response, ServeConfig, ServeError, ServeReport,
+    ServeSession,
 };
 pub use workload::{expand_cell_order, CellWorkload, WorkloadProfile};

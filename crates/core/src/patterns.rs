@@ -52,26 +52,39 @@ pub struct CellProbe {
 }
 
 /// Produces the probe list for a query point living in non-empty cell
-/// `origin_idx`, under `pattern`. Probes are emitted in ascending linear-id
-/// order of the window walk; absent cells still appear (they cost a lookup
-/// in the kernel, as in the real implementation).
+/// `origin_idx`, under `pattern`: the probes of [`for_each_probe`],
+/// collected.
 pub fn probes_for<const N: usize>(
     pattern: AccessPattern,
     grid: &GridIndex<N>,
     origin_idx: usize,
 ) -> Vec<CellProbe> {
+    let mut probes = Vec::with_capacity(grid.window_around(origin_idx).len());
+    for_each_probe(pattern, grid, origin_idx, |p| probes.push(p));
+    probes
+}
+
+/// Invokes `f` with every probe of a query point living in non-empty cell
+/// `origin_idx`, under `pattern`, without allocating. Probes come in
+/// ascending linear-id order of the window walk; absent cells still appear
+/// (they cost a lookup in the kernel, as in the real implementation).
+pub fn for_each_probe<const N: usize, F: FnMut(CellProbe)>(
+    pattern: AccessPattern,
+    grid: &GridIndex<N>,
+    origin_idx: usize,
+    mut f: F,
+) {
     let shape = grid.shape();
     let origin_coords = grid.cell_coords(origin_idx);
     let origin_id = grid.cells()[origin_idx].linear_id;
     let window = NeighborWindow::around(shape, &origin_coords);
-    let mut probes = Vec::with_capacity(window.len());
     for (coords, linear_id) in window.iter(shape) {
         if linear_id == origin_id {
             let relation = match pattern {
                 AccessPattern::FullWindow => ProbeRelation::AllBidirectional,
                 AccessPattern::Unicomp | AccessPattern::LidUnicomp => ProbeRelation::OwnCellForward,
             };
-            probes.push(CellProbe {
+            f(CellProbe {
                 linear_id,
                 relation,
             });
@@ -100,13 +113,12 @@ pub fn probes_for<const N: usize>(
             } else {
                 ProbeRelation::AllSymmetric
             };
-            probes.push(CellProbe {
+            f(CellProbe {
                 linear_id,
                 relation,
             });
         }
     }
-    probes
 }
 
 /// Number of *neighbor* (non-origin) cells a cell at `coords` would probe

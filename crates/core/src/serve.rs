@@ -42,6 +42,74 @@ use crate::executor::{ExecTarget, JoinError, SelfJoin};
 /// Default bound on the admission queue.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
 
+/// Longest request line [`RequestLines`] accepts, in bytes before the
+/// newline.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The byte-level line reader of the daemon front-ends (stdin, script file,
+/// TCP).
+///
+/// Yields one item per `\n`-terminated line (the newline and a trailing
+/// `\r` stripped; a last line without a newline counts): `Ok(Ok(line))` for a
+/// UTF-8 line of at most [`MAX_LINE_BYTES`] bytes, `Ok(Err(message))` for
+/// a line that is not UTF-8 or is longer — answer it with
+/// [`ServeSession::reject_line`] and read on — and `Err` when the stream
+/// itself fails. An over-long line is skipped without being buffered.
+#[derive(Debug)]
+pub struct RequestLines<R> {
+    reader: R,
+}
+
+impl<R: std::io::BufRead> RequestLines<R> {
+    /// Reads request lines from `reader`.
+    pub fn new(reader: R) -> Self {
+        Self { reader }
+    }
+}
+
+impl<R: std::io::BufRead> Iterator for RequestLines<R> {
+    type Item = std::io::Result<Result<String, String>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut line = Vec::new();
+        let (mut any, mut too_long) = (false, false);
+        loop {
+            let chunk = match self.reader.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Some(Err(e)),
+            };
+            if chunk.is_empty() {
+                if !any {
+                    return None;
+                }
+                break;
+            }
+            any = true;
+            let newline = chunk.iter().position(|&b| b == b'\n');
+            let take = newline.unwrap_or(chunk.len());
+            let room = MAX_LINE_BYTES - line.len();
+            too_long |= take > room;
+            line.extend_from_slice(&chunk[..take.min(room)]);
+            self.reader.consume(take + usize::from(newline.is_some()));
+            if newline.is_some() {
+                break;
+            }
+        }
+        if too_long {
+            return Some(Ok(Err(format!(
+                "request line is longer than {MAX_LINE_BYTES} bytes"
+            ))));
+        }
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+        Some(Ok(
+            String::from_utf8(line).map_err(|_| "request line is not valid UTF-8".to_string())
+        ))
+    }
+}
+
 /// Service-level knobs, layered over the join's own [`SelfJoinConfig`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
@@ -730,16 +798,21 @@ impl<'a, const N: usize> ServeSession<'a, N> {
                 .iter()
                 .map(Response::to_json_line)
                 .collect(),
-            Err(msg) => {
-                let id = self.next_id;
-                self.next_id += 1;
-                self.report.requests += 1;
-                self.reject(id, ServeError::BadRequest(msg))
-                    .iter()
-                    .map(Response::to_json_line)
-                    .collect()
-            }
+            Err(msg) => self.reject_line(msg),
         }
+    }
+
+    /// Answers a line that cannot be a request (see [`RequestLines`]) the
+    /// way [`Self::handle_line`] answers a malformed one: it consumes a
+    /// request id and gets a single `"kind": "bad_request"` error line.
+    pub fn reject_line(&mut self, msg: String) -> Vec<String> {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.report.requests += 1;
+        self.reject(id, ServeError::BadRequest(msg))
+            .iter()
+            .map(Response::to_json_line)
+            .collect()
     }
 
     fn parse_request(&self, line: &str) -> Result<Request<N>, String> {

@@ -4,11 +4,18 @@
 //! distance calculations it will perform in the refine step, i.e. the total
 //! number of candidate points in the `3^n` window around its home cell.
 //! Since all points of a cell share the same window, workload is computed
-//! **per cell** and inherited by the cell's points.
+//! **per cell** and inherited by the cell's points. It is derived from the
+//! join's resolved probe table ([`WorkloadProfile::from_resolved`]), so the
+//! windows are walked once per join, not once for the kernels and again for
+//! the profile.
 
 use std::cmp::Reverse;
 
 use epsgrid::GridIndex;
+
+use crate::config::AccessPattern;
+use crate::kernels::ResolvedPatterns;
+use crate::patterns::ProbeRelation;
 
 /// Workload of one non-empty cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,11 +37,42 @@ pub struct WorkloadProfile {
 }
 
 impl WorkloadProfile {
-    /// Quantifies workloads from the grid index.
+    /// Quantifies workloads from the grid index: resolves LID-UNICOMP (the
+    /// half window) and derives the profile with [`Self::from_resolved`].
     pub fn compute<const N: usize>(grid: &GridIndex<N>) -> Self {
-        let per_cell: Vec<u64> = (0..grid.num_cells())
-            .map(|ci| grid.window_candidate_count(ci))
-            .collect();
+        Self::from_resolved(
+            grid,
+            &ResolvedPatterns::compute(grid, AccessPattern::LidUnicomp),
+        )
+    }
+
+    /// Derives the exact full-window profile from a resolved probe table of
+    /// any pattern, without walking a window again.
+    ///
+    /// Window adjacency is symmetric, so a unidirectional pattern probes
+    /// each adjacent pair of non-empty cells exactly once: an
+    /// [`ProbeRelation::AllSymmetric`] probe from `A` to `B` adds `|B|` to
+    /// `A` and `|A|` to `B`. [`ProbeRelation::OwnCellForward`] and
+    /// [`ProbeRelation::AllBidirectional`] probes add the probed cell's size
+    /// to the probing cell only.
+    pub fn from_resolved<const N: usize>(grid: &GridIndex<N>, resolved: &ResolvedPatterns) -> Self {
+        debug_assert_eq!(resolved.num_cells(), grid.num_cells());
+        let size = |c: usize| grid.cells()[c].len() as u64;
+        let mut per_cell = vec![0u64; grid.num_cells()];
+        for a in 0..grid.num_cells() {
+            for probe in resolved.found_probes(a) {
+                let b = probe.cell as usize;
+                per_cell[a] += size(b);
+                if probe.relation == ProbeRelation::AllSymmetric {
+                    per_cell[b] += size(a);
+                }
+            }
+        }
+        Self::inherit(grid, per_cell)
+    }
+
+    /// The profile whose points inherit their home cell's workload.
+    fn inherit<const N: usize>(grid: &GridIndex<N>, per_cell: Vec<u64>) -> Self {
         let mut per_point = vec![0u64; grid.num_points()];
         for (ci, &w) in per_cell.iter().enumerate() {
             for &pid in grid.cell_points(ci) {
@@ -86,16 +124,7 @@ impl WorkloadProfile {
         if per_cell.len() != grid.num_cells() {
             return None;
         }
-        let mut per_point = vec![0u64; grid.num_points()];
-        for (ci, &w) in per_cell.iter().enumerate() {
-            for &pid in grid.cell_points(ci) {
-                per_point[pid as usize] = w;
-            }
-        }
-        Some(Self {
-            per_cell: per_cell.to_vec(),
-            per_point,
-        })
+        Some(Self::inherit(grid, per_cell.to_vec()))
     }
 
     /// Total workload over the whole dataset (total distance calculations a

@@ -187,6 +187,34 @@ impl<const N: usize> GridIndex<N> {
             .ok()
     }
 
+    /// Finds `linear_id` by a galloping search forward from cell index
+    /// `*cursor`, for walks that look up ascending ids (a window in row-major
+    /// order). Every cell before `*cursor` must have a smaller id. Moves
+    /// `*cursor` to the lower bound — the first cell whose id is at least
+    /// `linear_id` — and returns it if that cell is the one sought, so the
+    /// next, larger id resumes from there instead of searching the whole
+    /// list again. Agrees with [`Self::find_cell`].
+    pub fn seek_cell(&self, linear_id: LinearCellId, cursor: &mut usize) -> Option<usize> {
+        let cells = &self.cells;
+        let mut lo = *cursor;
+        debug_assert!(lo <= cells.len() && (lo == 0 || cells[lo - 1].linear_id < linear_id));
+        if lo < cells.len() && cells[lo].linear_id < linear_id {
+            // Gallop until `cells[hi]` reaches the id (or the list ends),
+            // keeping `cells[lo].linear_id < linear_id`, then bisect (lo, hi].
+            let mut step = 1;
+            let mut hi = lo + 1;
+            while hi < cells.len() && cells[hi].linear_id < linear_id {
+                lo = hi;
+                step *= 2;
+                hi = lo + step;
+            }
+            let hi = hi.min(cells.len());
+            lo += 1 + cells[lo + 1..hi].partition_point(|c| c.linear_id < linear_id);
+        }
+        *cursor = lo;
+        (lo < cells.len() && cells[lo].linear_id == linear_id).then_some(lo)
+    }
+
     /// Dataset indices of the points in cell `cell_idx`.
     ///
     /// # Panics
@@ -220,9 +248,10 @@ impl<const N: usize> GridIndex<N> {
     /// (number of distance calculations each point of the cell performs).
     pub fn window_candidate_count(&self, cell_idx: usize) -> u64 {
         let window = self.window_around(cell_idx);
+        let mut cursor = 0;
         let mut total = 0u64;
         for (_, id) in window.iter(&self.shape) {
-            if let Some(ci) = self.find_cell(id) {
+            if let Some(ci) = self.seek_cell(id, &mut cursor) {
                 total += self.cells[ci].len() as u64;
             }
         }
@@ -234,8 +263,9 @@ impl<const N: usize> GridIndex<N> {
     pub fn for_each_candidate_of<F: FnMut(usize)>(&self, point_id: usize, mut f: F) {
         let home = self.home_cell_of(point_id);
         let window = self.window_around(home);
+        let mut cursor = 0;
         for (_, id) in window.iter(&self.shape) {
-            if let Some(ci) = self.find_cell(id) {
+            if let Some(ci) = self.seek_cell(id, &mut cursor) {
                 for &cand in self.cell_points(ci) {
                     f(cand as usize);
                 }
@@ -317,6 +347,39 @@ mod tests {
                 if within_epsilon(a, b, eps) {
                     assert!(found.contains(&j), "pair ({i},{j}) missed by grid window");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn seek_cell_agrees_with_find_cell_from_every_cursor() {
+        // Sparse cells with gaps of varying width, so the gallop both
+        // overshoots and lands exactly.
+        let mut pts: Vec<Point<2>> = Vec::new();
+        for (x, y) in [
+            (0, 0),
+            (1, 0),
+            (3, 0),
+            (7, 0),
+            (0, 2),
+            (5, 3),
+            (6, 3),
+            (9, 9),
+        ] {
+            pts.push([x as f32 + 0.5, y as f32 + 0.5]);
+        }
+        let grid = GridIndex::build(&pts, 1.0).unwrap();
+        let ids: Vec<_> = grid.cells().iter().map(|c| c.linear_id).collect();
+        for id in 0..=grid.shape().total_cells() + 1 {
+            let lower = ids.partition_point(|&c| c < id);
+            for start in 0..=lower {
+                let mut cursor = start;
+                assert_eq!(
+                    grid.seek_cell(id, &mut cursor),
+                    grid.find_cell(id),
+                    "id {id}"
+                );
+                assert_eq!(cursor, lower, "id {id} from cursor {start}");
             }
         }
     }

@@ -8,7 +8,8 @@
 //! is answered against the dataset exactly as it stood at admission.
 
 use simjoin::{
-    Latency, Reply, Request, Response, SelfJoinConfig, ServeConfig, ServeReport, ServeSession,
+    Latency, Reply, Request, RequestLines, Response, SelfJoinConfig, ServeConfig, ServeReport,
+    ServeSession,
 };
 use sj_telemetry::json::{self, JsonValue};
 use sj_telemetry::JsonTelemetry;
@@ -321,6 +322,62 @@ fn far_away_insert_and_deep_nesting_get_typed_errors() {
         (report.errors, report.inserts, report.full_rebuilds),
         (2, 0, 0)
     );
+}
+
+/// A request line that is not UTF-8, or longer than the reader's limit,
+/// gets one `bad_request` reply from the byte-level reader and the session
+/// serves the next line exactly — where a text-line reader would end the
+/// whole session on the first invalid byte.
+#[test]
+fn non_utf8_and_overlong_lines_get_bad_request_and_serving_goes_on() {
+    let (pts, eps) = serve_dataset();
+    let mut session = ServeSession::new(
+        pts.clone(),
+        SelfJoinConfig::new(eps),
+        ServeConfig::default(),
+    )
+    .unwrap();
+    let query =
+        |pid: u32| format!("{{\"op\": \"query\", \"point_id\": {pid}, \"eps\": {eps}}}\r\n");
+    let mut input = query(5).into_bytes();
+    input.extend_from_slice(b"\xff\xfe garbage\n");
+    input.resize(input.len() + simjoin::serve::MAX_LINE_BYTES + 1, b'a');
+    input.push(b'\n');
+    input.extend_from_slice(query(9).trim_end().as_bytes()); // no final newline
+
+    // A small buffer, so lines straddle many reads.
+    let reader = std::io::BufReader::with_capacity(64, input.as_slice());
+    let mut replies = Vec::new();
+    for line in RequestLines::new(reader) {
+        replies.extend(match line.unwrap() {
+            Ok(line) => session.handle_line(&line),
+            Err(msg) => session.reject_line(msg),
+        });
+    }
+    replies.extend(session.handle_line("{\"op\": \"flush\"}"));
+
+    let docs: Vec<JsonValue> = replies.iter().map(|l| json::parse(l).unwrap()).collect();
+    let kinds: Vec<_> = docs
+        .iter()
+        .filter_map(|d| d.get("kind").and_then(JsonValue::as_str))
+        .collect();
+    assert_eq!(kinds, ["bad_request", "bad_request"], "{replies:?}");
+    for pid in [5u32, 9] {
+        let answer = docs
+            .iter()
+            .find(|d| d.get("point_id").and_then(JsonValue::as_u64) == Some(pid as u64))
+            .unwrap_or_else(|| panic!("query {pid} unanswered: {replies:?}"));
+        let neighbors: Vec<u32> = answer
+            .get("neighbors")
+            .and_then(JsonValue::as_array)
+            .unwrap()
+            .iter()
+            .map(|v| v.as_u64().unwrap() as u32)
+            .collect();
+        assert_eq!(neighbors, oracle_neighbors(&pts, pid, eps));
+    }
+    let report = session.report();
+    assert_eq!((report.requests, report.errors), (5, 2));
 }
 
 /// The wire bytes of every reply kind, pinned: escaping, the f32 → f64
